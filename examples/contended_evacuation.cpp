@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   fs.migration.link_mode = cfg.get_string("link_mode", "uplink");
   fs.migration.selection = cfg.get_string("selection", "cost");
   try {
-    scenario::validate_migration_modes(fs.migration);
+    scenario::validate_migration_spec(fs.migration, fs.domains.size());
   } catch (const util::ConfigError& e) {
     std::cerr << e.what() << "\n";
     return 1;

@@ -1,11 +1,14 @@
 #include "scenario/config_loader.hpp"
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "federation/router.hpp"
-#include "migration/policy.hpp"
 #include "scenario/class_factory.hpp"
 #include "scenario/fault_factory.hpp"
 #include "scenario/obs_factory.hpp"
@@ -37,6 +40,14 @@ class KeyedConfig {
     return cfg_.get_string(key, def);
   }
   [[nodiscard]] bool has(const std::string& key) const { return cfg_.has(key); }
+  /// Keys present under `prefix`; reading one marks it used as usual.
+  [[nodiscard]] std::vector<std::string> keys_with_prefix(const std::string& prefix) const {
+    std::vector<std::string> out;
+    for (const auto& key : cfg_.keys()) {
+      if (key.rfind(prefix, 0) == 0) out.push_back(key);
+    }
+    return out;
+  }
 
   void reject_unknown() const {
     for (const auto& key : cfg_.keys()) {
@@ -52,6 +63,16 @@ class KeyedConfig {
 };
 
 Scenario scenario_from_keyed(KeyedConfig& k);
+
+/// A canonical decimal domain index ("0", "17"; not "", "01" or "+1");
+/// nullopt otherwise, so the key stays unread and reject_unknown names it.
+std::optional<std::size_t> parse_index(const std::string& s) {
+  if (s.empty() || s.size() > 9 || s.find_first_not_of("0123456789") != std::string::npos ||
+      (s.size() > 1 && s[0] == '0')) {
+    return std::nullopt;
+  }
+  return std::stoul(s);
+}
 
 }  // namespace
 
@@ -76,21 +97,11 @@ FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
   const Scenario base = scenario_from_keyed(k);
 
   const auto n_domains = k.integer("domains", 1);
-  if (n_domains < 1 || n_domains > 64) throw util::ConfigError("domains: out of range [1, 64]");
+  if (n_domains < 1 || n_domains > 4096) {
+    throw util::ConfigError("domains: out of range [1, 4096]");
+  }
 
-  FederatedScenario fs;
-  fs.name = base.name;
-  fs.apps = base.apps;
-  fs.jobs = base.jobs;
-  fs.controller = base.controller;
-  fs.power = base.power;
-  fs.faults = base.faults;
-  fs.horizon_s = base.horizon_s;
-  fs.sample_interval_s = base.sample_interval_s;
-  fs.seed = base.seed;
-  fs.engine_threads = base.engine_threads;
-  fs.obs = base.obs;
-  fs.slos = base.slos;
+  FederatedScenario fs = federated_shell(base);
   fs.router = k.str("router", "least-loaded");
   try {
     (void)federation::make_router(fs.router);
@@ -149,117 +160,58 @@ FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
   }
 
   // --- live migration ---------------------------------------------------------
+  // Read here, checked by validate_migration_spec: a loaded config and an
+  // equivalent hand-built spec fail with the same message.
   MigrationSpec& m = fs.migration;
   m.enabled = k.boolean("migration.enabled", m.enabled);
   m.policy = k.str("migration.policy", m.policy);
-  try {
-    (void)migration::make_migration_policy(m.policy);
-  } catch (const std::invalid_argument& e) {
-    throw util::ConfigError(std::string("migration.policy: ") + e.what());
-  }
   m.check_interval_s = k.num("migration.check_interval_s", m.check_interval_s);
-  if (m.check_interval_s <= 0.0) {
-    throw util::ConfigError("migration.check_interval_s: must be positive");
-  }
   m.max_moves_per_tick =
       static_cast<int>(k.integer("migration.max_moves_per_tick", m.max_moves_per_tick));
-  if (m.max_moves_per_tick < 1) {
-    throw util::ConfigError("migration.max_moves_per_tick: must be >= 1");
-  }
   m.high_watermark = k.num("migration.high_watermark", m.high_watermark);
   m.low_watermark = k.num("migration.low_watermark", m.low_watermark);
   m.link_mode = k.str("migration.link_mode", m.link_mode);
   m.selection = k.str("migration.selection", m.selection);
   m.max_queued_transfers =
       static_cast<int>(k.integer("migration.max_queued_transfers", m.max_queued_transfers));
-  if (m.max_queued_transfers < 0) {
-    throw util::ConfigError("migration.max_queued_transfers: must be nonnegative (0 = no guard)");
-  }
   m.max_transfer_retries =
       static_cast<int>(k.integer("migration.max_transfer_retries", m.max_transfer_retries));
-  if (m.max_transfer_retries < 0) {
-    throw util::ConfigError("migration.max_transfer_retries: must be nonnegative (0 = fail back "
-                            "on the first link fault)");
-  }
   m.retry_backoff_s = k.num("migration.retry_backoff_s", m.retry_backoff_s);
-  if (m.retry_backoff_s <= 0.0) {
-    throw util::ConfigError("migration.retry_backoff_s: must be positive");
-  }
   m.retry_backoff_max_s = k.num("migration.retry_backoff_max_s", m.retry_backoff_max_s);
-  if (m.retry_backoff_max_s < m.retry_backoff_s) {
-    throw util::ConfigError("migration.retry_backoff_max_s: must be >= migration.retry_backoff_s");
-  }
   m.rescore_queued_transfers =
       k.boolean("migration.rescore_queued_transfers", m.rescore_queued_transfers);
   m.align_attach = k.boolean("migration.align_attach", m.align_attach);
-  validate_migration_modes(m);
-  // Bandwidths have always been MB/s (images divide directly by them);
-  // the preferred key now says so. The old *_mbps spelling is a
-  // deprecated alias — same meaning, same units. Diagnostics name the
-  // key the user actually wrote.
-  if (k.has("migration.default_bandwidth_mb_per_s") &&
-      k.has("migration.default_bandwidth_mbps")) {
-    throw util::ConfigError(
-        "migration.default_bandwidth_mb_per_s and the deprecated "
-        "migration.default_bandwidth_mbps are both set; keep one");
-  }
-  const std::string bw_key = k.has("migration.default_bandwidth_mbps")
-                                 ? "migration.default_bandwidth_mbps"
-                                 : "migration.default_bandwidth_mb_per_s";
-  m.default_bandwidth_mb_per_s = k.num(bw_key, m.default_bandwidth_mb_per_s);
-  if (m.default_bandwidth_mb_per_s <= 0.0) {
-    throw util::ConfigError(bw_key + ": must be positive");
-  }
+  m.default_bandwidth_mb_per_s =
+      k.num("migration.default_bandwidth_mb_per_s", m.default_bandwidth_mb_per_s);
   m.default_latency_s = k.num("migration.default_latency_s", m.default_latency_s);
-  if (m.default_latency_s < 0.0) {
-    throw util::ConfigError("migration.default_latency_s: must be nonnegative");
-  }
-  // Sparse inter-domain link overrides: bandwidth.<i>.<j> (MB/s) and
-  // link_latency.<i>.<j> (s) for every ordered domain pair. Presence is
-  // tested explicitly so an out-of-range value fails loudly instead of
-  // masquerading as "unset".
-  for (long long i = 0; i < n_domains; ++i) {
-    for (long long j = 0; j < n_domains; ++j) {
-      if (i == j) continue;
-      const std::string suffix = std::to_string(i) + "." + std::to_string(j);
-      const bool has_bw = k.has("bandwidth." + suffix);
-      const bool has_lat = k.has("link_latency." + suffix);
-      const double bw = k.num("bandwidth." + suffix, -1.0);
-      const double lat = k.num("link_latency." + suffix, -1.0);
-      if (has_bw && bw <= 0.0) {
-        throw util::ConfigError("bandwidth." + suffix + ": must be positive");
-      }
-      if (has_bw && m.link_mode == "uplink") {
-        throw util::ConfigError("bandwidth." + suffix +
-                                ": has no effect with migration.link_mode = uplink; "
-                                "use uplink_bandwidth.<i> (per-pair latency still applies)");
-      }
-      if (has_lat && lat < 0.0) {
-        throw util::ConfigError("link_latency." + suffix + ": must be nonnegative");
-      }
-      if (!has_bw && !has_lat) continue;
-      LinkSpec link;
-      link.from = static_cast<std::size_t>(i);
-      link.to = static_cast<std::size_t>(j);
-      link.bandwidth_mb_per_s = has_bw ? bw : -1.0;
-      link.latency_s = has_lat ? lat : -1.0;
-      m.links.push_back(link);
+  // Sparse link overrides: bandwidth.<i>.<j> (MB/s) and link_latency.<i>.<j>
+  // (s) per ordered domain pair, uplink_bandwidth.<i> (MB/s) per shared
+  // uplink pool. Only keys actually present are visited, so the cost does
+  // not grow with the square of the domain count.
+  std::map<std::pair<std::size_t, std::size_t>, LinkSpec> links;
+  for (const std::string field : {"bandwidth.", "link_latency."}) {
+    for (const std::string& key : k.keys_with_prefix(field)) {
+      const std::string pair = key.substr(field.size());
+      const std::size_t dot = std::min(pair.find('.'), pair.size());
+      const auto from = parse_index(pair.substr(0, dot));
+      const auto to = parse_index(pair.substr(std::min(dot + 1, pair.size())));
+      if (!from || !to) continue;
+      LinkSpec& link = links[{*from, *to}];
+      link.from = *from;
+      link.to = *to;
+      (field == "bandwidth." ? link.bandwidth_mb_per_s : link.latency_s) = k.num(key, -1.0);
     }
   }
-  // Shared-uplink pool capacities: uplink_bandwidth.<i> (MB/s), used in
-  // link_mode = uplink. Same fail-loud presence test as the pair links.
-  for (long long i = 0; i < n_domains; ++i) {
-    const std::string key = "uplink_bandwidth." + std::to_string(i);
-    const bool has_uplink = k.has(key);
-    const double uplink = k.num(key, -1.0);
-    if (!has_uplink) continue;
-    if (uplink <= 0.0) throw util::ConfigError(key + ": must be positive");
-    if (m.link_mode != "uplink") {
-      throw util::ConfigError(key + ": has no effect with migration.link_mode = " +
-                              m.link_mode + "; set migration.link_mode = uplink");
+  for (const auto& entry : links) m.links.push_back(entry.second);
+  std::map<std::size_t, double> uplinks;
+  const std::string uplink_field = "uplink_bandwidth.";
+  for (const std::string& key : k.keys_with_prefix(uplink_field)) {
+    if (const auto domain = parse_index(key.substr(uplink_field.size()))) {
+      uplinks[*domain] = k.num(key, 0.0);
     }
-    m.uplinks.push_back({static_cast<std::size_t>(i), uplink});
   }
+  for (const auto& [domain, bandwidth] : uplinks) m.uplinks.push_back({domain, bandwidth});
+  validate_migration_spec(m, static_cast<std::size_t>(n_domains));
 
   {
     // A constraint is satisfiable if any domain kept an admitting pool

@@ -34,7 +34,8 @@
 //
 // Federated (multi-domain) scenarios additionally recognize:
 //
-//   domains                    — number of controller domains (default 1)
+//   domains                    — number of controller domains (default 1,
+//                                 at most 4096)
 //   router                     — least-loaded | capacity-weighted | sticky
 //   domain.<i>.name, domain.<i>.nodes, domain.<i>.cpu_per_node_mhz,
 //   domain.<i>.mem_per_node_mb, domain.<i>.first_cycle_at_s
@@ -54,8 +55,6 @@
 //   migration.link_mode        — p2p | uplink (link contention pools)
 //   migration.selection        — fifo | cost (movable-job ordering)
 //   migration.default_bandwidth_mb_per_s, migration.default_latency_s
-//     (migration.default_bandwidth_mbps is a deprecated alias — the value
-//      was always MB/s; old configs still load)
 //   migration.align_attach     — defer each destination attach to just
 //                                 before the destination controller's next
 //                                 cycle so that cycle plans the arriving

@@ -1,21 +1,12 @@
 #include "scenario/experiment.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
-#include "core/controller.hpp"
-#include "faults/injector.hpp"
-#include "power/manager.hpp"
-#include "scenario/class_factory.hpp"
 #include "scenario/fault_factory.hpp"
-#include "scenario/obs_factory.hpp"
-#include "scenario/policy_factory.hpp"
-#include "scenario/power_factory.hpp"
-#include "sim/engine.hpp"
-#include "util/log.hpp"
-#include "util/rng.hpp"
-#include "utility/utility_fn.hpp"
+#include "scenario/federation_experiment.hpp"
 
 namespace heteroplace::scenario {
 
@@ -50,247 +41,38 @@ int effective_engine_threads(int configured) {
 }
 
 ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOptions& options) {
-  sim::Engine engine;
-  engine.set_threads(static_cast<unsigned>(effective_engine_threads(scenario.engine_threads)));
-  core::World world;
-
-  // --- observability (optional) ----------------------------------------------
-  // Constructed first so every subsystem below can borrow pointers into
-  // the bundle; an obs-off scenario builds nothing and the run stays
-  // bit-identical to the uninstrumented path (pinned by tests/obs_test.cpp).
-  Observability obs = make_observability(scenario.obs, scenario.slos);
-  if (obs.trace) {
-    engine.set_observer(obs.trace.get());
-    obs.trace->set_process_name(0, "global");
-    obs.trace->set_process_name(1, scenario.name.empty() ? "world" : scenario.name);
-  }
-  if (obs.profiler) engine.enable_timing();
-
-  // --- cluster & apps -------------------------------------------------------
-  populate_cluster(world.cluster(), scenario.cluster);
-  for (const auto& app : scenario.apps) {
-    world.add_app(workload::TxApp{app.spec, app.trace});
-  }
-
-  // --- job stream -----------------------------------------------------------
-  util::Rng rng(scenario.seed);
-  std::vector<workload::PhasedPoissonArrivals::Phase> phases;
-  phases.push_back({util::Seconds{scenario.jobs.mean_interarrival_s}, scenario.jobs.count});
-  if (scenario.jobs.tail_count > 0 && scenario.jobs.tail_mean_interarrival_s > 0.0) {
-    phases.push_back(
-        {util::Seconds{scenario.jobs.tail_mean_interarrival_s}, scenario.jobs.tail_count});
-  }
-  workload::PhasedPoissonArrivals arrivals{util::Seconds{0.0}, std::move(phases)};
-  const auto job_specs = workload::generate_jobs(arrivals, scenario.jobs.tmpl, rng);
-
-  // --- models ----------------------------------------------------------------
-  auto job_model = std::make_shared<utility::JobUtilityModel>(
-      utility::make_utility(scenario.jobs.utility_shape));
-  auto tx_model = std::make_shared<utility::TxUtilityModel>();
-
-  // --- policy ----------------------------------------------------------------
-  std::unique_ptr<core::PlacementPolicy> policy = make_experiment_policy(
-      options, scenario.controller.solver, job_model, tx_model, scenario.seed ^ 0xD1CEBA5EULL);
-
-  // --- controller & metrics ---------------------------------------------------
-  core::ControllerConfig ctrl_cfg;
-  ctrl_cfg.cycle = util::Seconds{scenario.controller.cycle_s};
-  // The one world is shard 0: a single-cluster run gains no concurrency
-  // from engine.threads > 1, but tagging keeps the batch machinery on
-  // the exact same code path the federated runner exercises (and the
-  // bit-identity pin non-vacuous).
-  ctrl_cfg.shard = 0;
-  core::PlacementController controller(engine, world, std::move(policy),
-                                       scenario.controller.latencies, ctrl_cfg);
-  if (obs.any()) controller.set_obs(obs.context(1));
-
-  MetricsRecorder recorder(world, job_model, tx_model);
-  recorder.summary().scenario = scenario.name;
-  recorder.summary().policy = to_string(options.policy);
-  // The one world's SLA ledger (pid 1; created lazily by context()).
-  obs::SlaLedger* const sla = obs.sla_on ? obs.context(1).sla : nullptr;
-  recorder.set_sla(sla);
-
-  long invariant_violations = 0;
-  controller.set_observer([&](const core::CycleReport& report) {
-    recorder.on_cycle(report);
-    if (options.validate_invariants) {
-      const auto issues = world.cluster().validate();
-      invariant_violations += static_cast<long>(issues.size());
-      for (const auto& msg : issues) util::log_warn() << "invariant: " << msg;
-    }
-  });
-  controller.executor().set_completion_callback(
-      [&](const workload::Job& job) { recorder.on_job_completed(job); });
-
-  // --- power subsystem (optional) ---------------------------------------------
-  // Constructed after the cluster is populated; started after the
-  // controller so its kPower ticks interleave deterministically. A
-  // power-disabled run creates nothing here and stays bit-identical to
-  // the pre-power runner (pinned by tests/power_test.cpp).
-  std::unique_ptr<power::PowerManager> power_mgr;
-  if (scenario.power.enabled) {
-    power_mgr = make_power_manager(engine, world, scenario.power, scenario.controller.cycle_s,
-                                   /*cap_w_override=*/-1.0, /*shard=*/0);
-    if (obs.any()) power_mgr->set_obs(obs.context(1));
-    // When a power tick lands on the same timestamp as a finished control
-    // cycle, reuse the cycle's post-apply PlacementProblem skeleton
-    // instead of rebuilding it from the world (identical by
-    // construction: nothing mutates the world between kController and
-    // kPower at one timestamp in this runner).
-    controller.enable_problem_cache();
-    power_mgr->set_problem_provider(
-        [&controller](util::Seconds now) { return controller.cached_problem(now); });
-  }
-
-  const double horizon =
-      options.horizon_override_s > 0.0 ? options.horizon_override_s : scenario.horizon_s;
-
-  // --- fault injection (optional) ---------------------------------------------
-  // A faults-disabled run creates nothing here and stays bit-identical to
-  // the pre-fault runner (pinned by tests/fault_test.cpp).
-  std::unique_ptr<faults::FaultInjector> injector;
+  // A single world cannot express link or domain faults; reject them
+  // under the single-world rules before the 1-domain federation (which
+  // could express domain faults) sees the spec.
   if (scenario.faults.enabled) {
-    const std::vector<std::size_t> nodes_per_domain{
-        static_cast<std::size_t>(scenario.cluster.total_nodes())};
-    validate_fault_spec(scenario.faults, nodes_per_domain, /*federated=*/false,
-                        /*migration_enabled=*/false, horizon);
-    faults::FaultOptions fault_opts;
-    fault_opts.checkpoint_interval_s = scenario.faults.checkpoint_interval_s;
-    fault_opts.max_concurrent_repairs = scenario.faults.max_concurrent_repairs;
-    injector = std::make_unique<faults::FaultInjector>(
-        engine,
-        std::vector<faults::DomainHooks>{{&world, &controller, power_mgr.get()}},
-        build_fault_schedule(scenario.faults, scenario.seed, horizon, nodes_per_domain),
-        fault_opts);
-    if (obs.any()) injector->set_obs(obs.context(0));
+    const double horizon =
+        options.horizon_override_s > 0.0 ? options.horizon_override_s : scenario.horizon_s;
+    validate_fault_spec(scenario.faults, {static_cast<std::size_t>(scenario.cluster.total_nodes())},
+                        /*federated=*/false, /*migration_enabled=*/false, horizon);
   }
+  FederatedResult fed = run_federated_experiment(federate(scenario, 1), options);
 
-  // --- schedule arrivals, sampling, control loop ------------------------------
-  for (const auto& spec : job_specs) {
-    engine.schedule_at(spec.submit_time, sim::EventPriority::kWorkloadArrival,
-                       [&world, spec, sla] {
-                         world.submit_job(spec);
-                         if (sla != nullptr) sla->on_admit(spec.id, spec.submit_time.get());
-                       });
-  }
-  auto sample_power = [&] {
-    if (!power_mgr) return;
-    const double t = engine.now().get();
-    recorder.series().add("power_w", t, power_mgr->current_draw_w());
-    recorder.series().add("energy_wh", t, power_mgr->energy_wh(engine.now()));
-    recorder.series().add("power_parked_nodes", t,
-                          static_cast<double>(power_mgr->parked_count()));
+  // Project the 1-domain federation onto the single-world result: the
+  // domain's own series plus the federation-level series whose single
+  // world name drops the fed_ prefix.
+  ExperimentResult result = std::move(fed.domains.front().result);
+  static constexpr std::pair<const char*, const char*> kRenamed[] = {
+      {"fed_power_w", "power_w"},
+      {"fed_energy_wh", "energy_wh"},
+      {"fed_power_parked_nodes", "power_parked_nodes"},
+      {"fed_availability", "availability"},
+      {"fed_fault_failed_nodes", "fault_failed_nodes"},
+      {"fed_fault_downtime_s", "fault_downtime_s"},
+      {"fed_jobs_lost_progress_s", "jobs_lost_progress_s"},
   };
-  auto sample_faults = [&] {
-    if (!injector) return;
-    const util::Seconds now = engine.now();
-    const double t = now.get();
-    recorder.series().add("availability", t, injector->availability(0));
-    recorder.series().add("fault_failed_nodes", t,
-                          static_cast<double>(injector->failed_node_count(0)));
-    recorder.series().add("fault_downtime_s", t, injector->downtime_s(0, now));
-    recorder.series().add("jobs_lost_progress_s", t,
-                          injector->stats(0, now).jobs_lost_progress_s);
-  };
-  // Per-class placeable-capacity series; gated on explicit classes so a
-  // scalar run records nothing new (its digest is pinned).
-  auto sample_classes = [&] {
-    const auto& reg = world.cluster().classes();
-    if (!reg.explicit_classes()) return;
-    const double t = engine.now().get();
-    const auto by_class = world.cluster().placeable_capacity_by_class();
-    for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
-      recorder.series().add(
-          "class_" + reg.at(static_cast<cluster::ClassId>(ci)).name + "_placeable_mhz", t,
-          by_class[ci].cpu.get());
-    }
-  };
-  // Periodic sampling, self-rescheduling.
-  const util::Seconds sample_dt{scenario.sample_interval_s};
-  std::function<void()> sample_tick = [&] {
-    const obs::ScopedTimer sample_timer(obs.profiler.get(), obs::Phase::kSampling);
-    recorder.sample(engine.now());
-    sample_power();
-    sample_faults();
-    sample_classes();
-    if (obs.alerts) obs.alerts->evaluate(engine.now().get(), obs.ledger_list());
-    engine.schedule_in(sample_dt, sim::EventPriority::kSampling, sample_tick);
-  };
-  engine.schedule_in(sample_dt, sim::EventPriority::kSampling, sample_tick);
-  controller.start();
-  if (power_mgr) power_mgr->start();
-  if (injector) injector->start();
-
-  // --- run ---------------------------------------------------------------------
-  const std::size_t total_jobs = job_specs.size();
-  if (horizon > 0.0) {
-    engine.run_until(util::Seconds{horizon});
-  } else {
-    // Run until every job completes (chunked so the perpetual control
-    // loop does not spin forever), capped for safety.
-    const double chunk = std::max(10.0 * scenario.controller.cycle_s, 6000.0);
-    while (world.completed_count() < total_jobs &&
-           engine.now().get() < options.max_sim_time_s) {
-      engine.run_until(engine.now() + util::Seconds{chunk});
+  for (const auto& [fed_name, name] : kRenamed) {
+    if (const util::TimeSeries* series = fed.series.find(fed_name)) {
+      for (const auto& p : series->points()) result.series.add(name, p.t, p.v);
     }
   }
-
-  // --- finalize -----------------------------------------------------------------
-  recorder.sample(engine.now());
-  sample_power();
-  sample_faults();
-  sample_classes();
-  if (obs.alerts) obs.alerts->evaluate(engine.now().get(), obs.ledger_list());
-  ExperimentResult result;
-  result.summary = recorder.summary();
-  result.summary.jobs_submitted = static_cast<long>(world.submitted_count());
-  result.summary.sim_end_time_s = engine.now().get();
-  result.summary.invariant_violations = invariant_violations;
-  if (result.summary.jobs_completed > 0) {
-    result.summary.goal_met_fraction /= static_cast<double>(result.summary.jobs_completed);
-  }
-  if (injector) {
-    const util::Seconds end = engine.now();
-    const faults::DomainFaultStats tot = injector->totals(end);
-    result.summary.fault_node_crashes = tot.node_crashes;
-    result.summary.fault_link_faults = tot.link_faults;
-    result.summary.fault_blackouts = tot.blackouts;
-    result.summary.jobs_reverted = tot.jobs_reverted;
-    result.summary.jobs_lost_progress_s = tot.jobs_lost_progress_s;
-    result.summary.fault_downtime_s = tot.downtime_s;
-    result.summary.fault_mttr_s = injector->mttr_s();
-    result.summary.availability =
-        end.get() > 0.0 ? 1.0 - tot.downtime_s / end.get() : 1.0;
-  }
-  result.series = std::move(recorder.series());
-
-  // --- observability export -----------------------------------------------
-  if (obs.profiler) {
-    result.profile = obs.profiler->report();
-    append_engine_profile(result.profile, engine.timing(), engine.parallel_batches());
-  }
-  if (obs.metrics) {
-    obs.metrics->gauge("run_sim_end_seconds", "Simulated end time of the run")
-        .set(engine.now().get());
-    obs.metrics->gauge("run_jobs_submitted", "Jobs submitted over the run")
-        .set(static_cast<double>(result.summary.jobs_submitted));
-    obs.metrics->gauge("run_jobs_completed", "Jobs completed over the run")
-        .set(static_cast<double>(result.summary.jobs_completed));
-    obs.metrics->gauge("engine_events_total", "Events the engine dispatched")
-        .set(static_cast<double>(engine.events_executed()));
-    if (world.cluster().classes().explicit_classes()) {
-      const auto by_class = world.cluster().placeable_capacity_by_class();
-      for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
-        const auto& c = world.cluster().classes().at(static_cast<cluster::ClassId>(ci));
-        obs.metrics
-            ->gauge("cluster_class_placeable_mhz", "Placeable CPU per machine class",
-                    obs::prometheus_label("class", c.name))
-            .set(by_class[ci].cpu.get());
-      }
-    }
-  }
-  export_observability(scenario.obs, obs);
+  result.summary.scenario = scenario.name;
+  result.summary.fault_mttr_s = fed.fault_mttr_s;
+  result.profile = std::move(fed.profile);
   return result;
 }
 

@@ -1,10 +1,8 @@
 #pragma once
 
-// Shared fault-subsystem construction for the experiment runners.
-//
-// Both runners must translate a FaultSpec into the same FaultSchedule, and
-// both must reject a bad spec with the same fault.* key names, so the
-// translation lives here once.
+// Fault-subsystem construction for the experiment runner, plus the
+// validator the config loaders and run_experiment share, so a bad spec is
+// rejected with the same fault.* key names wherever it enters.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,8 +20,8 @@ namespace heteroplace::scenario {
 /// migration; link and domain faults need a federation), or overlapping
 /// explicit windows on the same target. `nodes_per_domain` describes the
 /// topology the events are checked against; `federated` and
-/// `migration_enabled` describe the run. The config loader and both
-/// runners call this.
+/// `migration_enabled` describe the run. The config loaders, the runner
+/// and run_experiment (single-world rules) call this.
 void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& nodes_per_domain,
                          bool federated, bool migration_enabled, double horizon_s);
 

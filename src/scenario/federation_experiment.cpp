@@ -20,34 +20,110 @@
 
 namespace heteroplace::scenario {
 
-void validate_migration_modes(const MigrationSpec& spec) {
+namespace {
+
+/// Rethrow a name parser's std::invalid_argument as a ConfigError naming
+/// the config key the name came from.
+template <typename Parse>
+void check_name(const std::string& key, Parse parse) {
   try {
-    (void)migration::link_mode_from_string(spec.link_mode);
+    (void)parse();
   } catch (const std::invalid_argument& e) {
-    throw util::ConfigError(std::string("migration.link_mode: ") + e.what());
-  }
-  try {
-    (void)migration::selection_from_string(spec.selection);
-  } catch (const std::invalid_argument& e) {
-    throw util::ConfigError(std::string("migration.selection: ") + e.what());
+    throw util::ConfigError(key + ": " + e.what());
   }
 }
 
-FederatedScenario federate(const Scenario& single, int n_domains, const std::string& router) {
-  if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
+void require(bool ok, const std::string& key, const std::string& what) {
+  if (!ok) throw util::ConfigError(key + ": " + what);
+}
+
+/// Per-class placeable-capacity series, recorded only for explicit
+/// machine classes so a scalar run records nothing new (its digest is
+/// pinned).
+void sample_class_capacity(const core::World& world, util::TimeSeriesSet& series, double t) {
+  const cluster::MachineClassRegistry& reg = world.cluster().classes();
+  if (!reg.explicit_classes()) return;
+  const auto by_class = world.cluster().placeable_capacity_by_class();
+  for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
+    series.add("class_" + reg.at(static_cast<cluster::ClassId>(ci)).name + "_placeable_mhz", t,
+               by_class[ci].cpu.get());
+  }
+}
+
+}  // namespace
+
+void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains) {
+  check_name("migration.policy", [&] { return migration::make_migration_policy(spec.policy); });
+  check_name("migration.link_mode",
+             [&] { return migration::link_mode_from_string(spec.link_mode); });
+  check_name("migration.selection",
+             [&] { return migration::selection_from_string(spec.selection); });
+  require(spec.check_interval_s > 0.0, "migration.check_interval_s", "must be positive");
+  require(spec.max_moves_per_tick >= 1, "migration.max_moves_per_tick", "must be >= 1");
+  require(spec.max_queued_transfers >= 0, "migration.max_queued_transfers",
+          "must be nonnegative (0 = no guard)");
+  require(spec.max_transfer_retries >= 0, "migration.max_transfer_retries",
+          "must be nonnegative (0 = fail back on the first link fault)");
+  require(spec.retry_backoff_s > 0.0, "migration.retry_backoff_s", "must be positive");
+  require(spec.retry_backoff_max_s >= spec.retry_backoff_s, "migration.retry_backoff_max_s",
+          "must be >= migration.retry_backoff_s");
+  require(spec.default_bandwidth_mb_per_s > 0.0, "migration.default_bandwidth_mb_per_s",
+          "must be positive");
+  require(spec.default_latency_s >= 0.0, "migration.default_latency_s", "must be nonnegative");
+
+  // -1.0 is the documented "keep the model default" sentinel; any other
+  // out-of-range value is a mistake and must not pass silently — and
+  // neither may a setting the selected link mode never reads.
+  const bool uplink_mode =
+      migration::link_mode_from_string(spec.link_mode) == migration::LinkMode::kUplink;
+  const std::string no_such_domain = "no such domain (" + std::to_string(n_domains) + " domains)";
+  for (const LinkSpec& link : spec.links) {
+    const std::string pair = std::to_string(link.from) + "." + std::to_string(link.to);
+    const std::string key =
+        (link.bandwidth_mb_per_s != -1.0 ? "bandwidth." : "link_latency.") + pair;
+    require(link.from < n_domains && link.to < n_domains, key, no_such_domain);
+    require(link.from != link.to, key, "a link joins two distinct domains");
+    if (link.bandwidth_mb_per_s != -1.0) {
+      require(link.bandwidth_mb_per_s > 0.0, "bandwidth." + pair, "must be positive");
+      require(!uplink_mode, "bandwidth." + pair,
+              "has no effect with migration.link_mode = uplink; use uplink_bandwidth.<i> "
+              "(per-pair latency still applies)");
+    }
+    require(link.latency_s == -1.0 || link.latency_s >= 0.0, "link_latency." + pair,
+            "must be nonnegative");
+  }
+  for (const UplinkSpec& uplink : spec.uplinks) {
+    const std::string key = "uplink_bandwidth." + std::to_string(uplink.domain);
+    require(uplink.domain < n_domains, key, no_such_domain);
+    require(uplink.bandwidth_mb_per_s > 0.0, key, "must be positive");
+    require(uplink_mode, key,
+            "has no effect with migration.link_mode = " + spec.link_mode +
+                "; set migration.link_mode = uplink");
+  }
+}
+
+FederatedScenario federated_shell(const Scenario& single) {
   FederatedScenario fs;
-  fs.name = n_domains == 1 ? single.name : single.name + "-federated";
+  fs.name = single.name;
   fs.apps = single.apps;
   fs.jobs = single.jobs;
   fs.controller = single.controller;
   fs.power = single.power;
   fs.faults = single.faults;
-  fs.router = router;
+  fs.obs = single.obs;
+  fs.slos = single.slos;
   fs.horizon_s = single.horizon_s;
   fs.sample_interval_s = single.sample_interval_s;
   fs.seed = single.seed;
   fs.engine_threads = single.engine_threads;
-  fs.obs = single.obs;
+  return fs;
+}
+
+FederatedScenario federate(const Scenario& single, int n_domains, const std::string& router) {
+  if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
+  FederatedScenario fs = federated_shell(single);
+  if (n_domains > 1) fs.name += "-federated";
+  fs.router = router;
 
   const int base = single.cluster.nodes / n_domains;
   const int remainder = single.cluster.nodes % n_domains;
@@ -106,9 +182,9 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   ctrl_cfg.cycle = util::Seconds{fs.controller.cycle_s};
   for (std::size_t i = 0; i < fs.domains.size(); ++i) {
     const DomainSpec& spec = fs.domains[i];
-    // Domain 0 reuses the single-cluster noise seed so a 1-domain
-    // federation reproduces run_experiment's λ-observation stream; later
-    // domains get independent streams.
+    // Domain 0 uses the scenario's base noise seed (the stream
+    // single-cluster runs have always seen); later domains get
+    // independent streams.
     const std::uint64_t noise_seed =
         (fs.seed ^ 0xD1CEBA5EULL) + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(i);
     core::ControllerConfig cfg = ctrl_cfg;
@@ -191,53 +267,22 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   // --- migration subsystem (optional) -----------------------------------------
   std::optional<migration::MigrationManager> migration_mgr;
   if (fs.migration.enabled) {
-    validate_migration_modes(fs.migration);
-    const bool uplink_mode =
-        migration::link_mode_from_string(fs.migration.link_mode) == migration::LinkMode::kUplink;
+    validate_migration_spec(fs.migration, fed.domain_count());
     migration::TransferModel transfer{fs.migration.default_bandwidth_mb_per_s,
                                       fs.migration.default_latency_s};
     for (const LinkSpec& link : fs.migration.links) {
-      if (link.from >= fed.domain_count() || link.to >= fed.domain_count()) {
-        throw std::invalid_argument("run_federated_experiment: link domain out of range");
-      }
-      // -1.0 is the documented "keep the model default" sentinel; any
-      // other out-of-range value is a mistake and must not pass silently
-      // — and neither may a setting the selected link mode never reads.
       if (link.bandwidth_mb_per_s > 0.0) {
-        if (uplink_mode) {
-          throw std::invalid_argument(
-              "run_federated_experiment: per-pair link bandwidth has no effect in uplink "
-              "mode; use MigrationSpec::uplinks (per-pair latency still applies)");
-        }
         transfer.set_link_bandwidth(link.from, link.to, link.bandwidth_mb_per_s);
-      } else if (link.bandwidth_mb_per_s != -1.0) {
-        throw std::invalid_argument("run_federated_experiment: link bandwidth must be positive");
       }
-      if (link.latency_s >= 0.0) {
-        transfer.set_link_latency(link.from, link.to, link.latency_s);
-      } else if (link.latency_s != -1.0) {
-        throw std::invalid_argument("run_federated_experiment: link latency must be nonnegative");
-      }
-    }
-    if (!uplink_mode && !fs.migration.uplinks.empty()) {
-      throw std::invalid_argument(
-          "run_federated_experiment: uplink overrides have no effect with link_mode = p2p; "
-          "set migration.link_mode = uplink");
+      if (link.latency_s >= 0.0) transfer.set_link_latency(link.from, link.to, link.latency_s);
     }
     for (const UplinkSpec& uplink : fs.migration.uplinks) {
-      if (uplink.domain >= fed.domain_count()) {
-        throw std::invalid_argument("run_federated_experiment: uplink domain out of range");
-      }
       transfer.set_uplink_bandwidth(uplink.domain, uplink.bandwidth_mb_per_s);
     }
     migration::PolicyConfig pol_cfg;
     pol_cfg.high_watermark = fs.migration.high_watermark;
     pol_cfg.low_watermark = fs.migration.low_watermark;
     pol_cfg.selection = migration::selection_from_string(fs.migration.selection);
-    if (fs.migration.max_queued_transfers < 0) {
-      throw std::invalid_argument(
-          "run_federated_experiment: migration.max_queued_transfers must be >= 0");
-    }
     pol_cfg.max_queued_transfers =
         static_cast<std::size_t>(fs.migration.max_queued_transfers);
     migration::MigrationOptions mig_opts;
@@ -335,6 +380,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
       const core::World& world = fed.domain(i).world();
       const AllocationSample sample = sample_allocations(world);
       recorders[i].sample(now, sample);
+      sample_class_capacity(world, recorders[i].series(), t);
       tx_alloc += sample.tx_alloc_mhz;
       lr_alloc += sample.lr_alloc_mhz;
       running += sample.jobs_running;
@@ -436,7 +482,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   }
 
   // --- finalize -----------------------------------------------------------------
-  sample_all(engine.now());  // final sample, mirroring run_experiment
+  sample_all(engine.now());  // final sample
   if (obs.alerts) obs.alerts->evaluate(engine.now().get(), obs.ledger_list());
   const auto routed = fed.jobs_per_domain();
   std::vector<ExperimentSummary> summaries;
@@ -512,6 +558,19 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
     obs.metrics
         ->gauge("engine_parallel_batches_total", "Parallel batches dispatched to the pool")
         .set(static_cast<double>(engine.parallel_batches()));
+    for (std::size_t i = 0; i < fed.domain_count(); ++i) {
+      const cluster::Cluster& cl = fed.domain(i).world().cluster();
+      if (!cl.classes().explicit_classes()) continue;
+      const std::string domain_label = obs::prometheus_label("domain", fed.domain(i).name());
+      const auto by_class = cl.placeable_capacity_by_class();
+      for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
+        const auto& c = cl.classes().at(static_cast<cluster::ClassId>(ci));
+        obs.metrics
+            ->gauge("cluster_class_placeable_mhz", "Placeable CPU per machine class",
+                    domain_label + "," + obs::prometheus_label("class", c.name))
+            .set(by_class[ci].cpu.get());
+      }
+    }
   }
   export_observability(fs.obs, obs);
   return out;

@@ -1,12 +1,9 @@
 #pragma once
 
-// Federated (multi-datacenter) experiments: N controller domains on one
-// engine, one shared workload stream routed across them.
-//
-// The federated runner mirrors run_experiment exactly — same event
-// ordering, same seeds — so a 1-domain FederatedScenario reproduces the
-// single-World trajectories bit for bit (pinned by
-// tests/federation_test.cpp).
+// The experiment runner: N controller domains on one engine, one shared
+// workload stream routed across them. It is the only runner —
+// run_experiment (scenario/experiment.hpp) runs a single-cluster
+// Scenario as the 1-domain federation federate(scenario, 1).
 
 #include <cstddef>
 #include <cstdint>
@@ -44,8 +41,8 @@ struct WeightEvent {
 
 /// One directed inter-domain link override for the TransferModel. A
 /// component left at exactly -1.0 (the "unset" default) keeps the model
-/// default; any other negative value is rejected loudly by the runner.
-/// Bandwidths are MB/s.
+/// default; any other negative value is rejected by
+/// validate_migration_spec. Bandwidths are MB/s.
 struct LinkSpec {
   std::size_t from{0};
   std::size_t to{0};
@@ -125,22 +122,32 @@ struct FederatedScenario {
   int engine_threads{1};
 };
 
-/// Throw util::ConfigError naming the offending key if the spec's
-/// link_mode / selection strings are invalid. The config loader and the
-/// federated runner both call this; CLI front-ends that fill the strings
-/// from flags call it early for a clean usage-style failure instead of
-/// an uncaught exception mid-run.
-void validate_migration_modes(const MigrationSpec& spec);
+/// Throw util::ConfigError naming the offending config key (e.g.
+/// `bandwidth.0.1: must be positive`) if `spec` is invalid for a
+/// federation of `n_domains`: unknown policy / link_mode / selection
+/// strings, out-of-range scalars, link or uplink overrides naming a
+/// missing domain, bandwidth/latency values that are neither valid nor
+/// the -1.0 "unset" sentinel, or overrides the selected link mode never
+/// reads. The config loader and the runner (when migration is enabled)
+/// both call this; CLI front-ends that fill the spec from flags call it
+/// early for a clean usage-style failure instead of an exception mid-run.
+void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains);
+
+/// A FederatedScenario with every field it shares with Scenario (name,
+/// apps, jobs, controller, power, faults, obs, slos, horizon, sample
+/// interval, seed, engine threads) copied from `single`, and no domains.
+/// federate() and the config loader both start from this.
+[[nodiscard]] FederatedScenario federated_shell(const Scenario& single);
 
 /// Shard a single-cluster scenario into `n_domains` equal domains (nodes
-/// split as evenly as possible, remainder to the earliest domains); apps,
-/// jobs, controller and seeds carry over unchanged. n_domains = 1 yields
-/// the scenario's exact single-cluster equivalent.
+/// split as evenly as possible, remainder to the earliest domains); every
+/// shared field carries over unchanged (see federated_shell). n_domains = 1
+/// yields the scenario's exact single-cluster equivalent.
 [[nodiscard]] FederatedScenario federate(const Scenario& single, int n_domains,
                                          const std::string& router = "least-loaded");
 
-/// Per-domain outcome: the same series + summary a single-cluster run
-/// produces, plus how many jobs the router sent here.
+/// Per-domain outcome: the domain's series + summary (the shape
+/// run_experiment returns), plus how many jobs the router sent here.
 struct DomainResult {
   std::string name;
   ExperimentResult result;
@@ -185,7 +192,9 @@ struct FederatedResult {
 };
 
 /// Run a federated scenario. Deterministic for a fixed (scenario, options)
-/// pair. options.policy selects every domain's local policy.
+/// pair. options.policy selects every domain's local policy. Domains with
+/// explicit machine classes also record class_<name>_placeable_mhz series
+/// and, with metrics on, a cluster_class_placeable_mhz gauge per class.
 [[nodiscard]] FederatedResult run_federated_experiment(const FederatedScenario& scenario,
                                                        const ExperimentOptions& options = {});
 

@@ -121,8 +121,6 @@ void MetricsRecorder::on_cycle(const core::CycleReport& report) {
   ++summary_.cycles;
 }
 
-void MetricsRecorder::sample(util::Seconds now) { sample(now, sample_allocations(*world_)); }
-
 void MetricsRecorder::sample(util::Seconds now, const AllocationSample& alloc) {
   const double t = now.get();
 

@@ -74,10 +74,11 @@ struct ExperimentSummary {
 /// goal_met_fraction is re-weighted by each domain's completed jobs.
 [[nodiscard]] ExperimentSummary merge_summaries(const std::vector<ExperimentSummary>& parts);
 
-/// Instantaneous measured allocation state of one world. Both
-/// MetricsRecorder::sample and the federation-level aggregator read
-/// through this, so a federation's summed fed_* series equal the sum of
-/// the per-domain series bit for bit.
+/// Instantaneous measured allocation state of one world. The runner
+/// computes it once per domain per sample and shares it between the
+/// domain's MetricsRecorder and the federation-level aggregator, so a
+/// federation's summed fed_* series equal the sum of the per-domain
+/// series bit for bit.
 struct AllocationSample {
   std::vector<double> tx_alloc_per_app;  // app-registry order
   double tx_alloc_mhz{0.0};              // sum of the above
@@ -103,12 +104,8 @@ class MetricsRecorder {
   void on_cycle(const core::CycleReport& report);
 
   /// Periodic sampling of measured cluster state (allocations, actual
-  /// utilities). Scheduled by the experiment runner.
-  void sample(util::Seconds now);
-
-  /// Same, from a precomputed allocation snapshot of this recorder's
-  /// world — the federated runner computes each domain's sample once and
-  /// shares it between the recorder and the fed_* aggregator.
+  /// utilities) from an allocation snapshot of this recorder's world.
+  /// Scheduled by the experiment runner.
   void sample(util::Seconds now, const AllocationSample& alloc);
 
   /// Hook for ActionExecutor::set_completion_callback.

@@ -25,7 +25,7 @@ namespace heteroplace::scenario {
 /// Throws util::ConfigError for: unknown obs.trace / obs.audit modes,
 /// non-positive or absurd ring capacities, obs.trace=stream without a
 /// path, obs.audit_path without obs.audit=ring, or any configured output
-/// path that cannot be opened for writing. Both runners call this, so
+/// path that cannot be opened for writing. The runner calls this too, so
 /// programmatic specs fail as loudly as loaded ones.
 void validate_obs_spec(const ObsSpec& spec);
 

@@ -1,11 +1,8 @@
 #pragma once
 
-// Shared policy construction for the experiment runners.
-//
-// The single-cluster runner builds one policy; the federated runner builds
-// one per domain. Both must wire the identical noisy-monitoring state
-// (per-app rate estimators seeded deterministically), so the construction
-// lives here once.
+// Policy construction for the experiment runner: one policy per domain,
+// each with its own deterministically seeded noisy-monitoring state
+// (per-app rate estimators).
 
 #include <cstdint>
 #include <memory>

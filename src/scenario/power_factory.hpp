@@ -1,11 +1,8 @@
 #pragma once
 
-// Shared power-subsystem construction for the experiment runners.
-//
-// The single-cluster runner builds one PowerManager; the federated runner
-// builds one per domain (each domain meters and consolidates its own
-// cluster, optionally under its own cap). Both must translate the same
-// PowerSpec identically, so the construction lives here once.
+// Power-subsystem construction for the experiment runner: one
+// PowerManager per domain (each domain meters and consolidates its own
+// cluster, optionally under its own cap), all from one PowerSpec.
 
 #include <memory>
 
@@ -19,7 +16,7 @@ namespace heteroplace::scenario {
 /// Throw util::ConfigError naming the offending power.* key on an
 /// invalid spec (unknown policy/park state, nonpositive latencies where
 /// positive is required, out-of-range ladder depth, ...). The config
-/// loader and both runners call this.
+/// loader and the runner call this.
 void validate_power_spec(const PowerSpec& spec);
 
 /// Build the node power table a spec describes.

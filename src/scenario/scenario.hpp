@@ -143,7 +143,7 @@ struct FaultSpec {
 
 /// Observability configuration (config keys obs.*; validated by
 /// scenario/obs_factory). Disabled by default: with everything off the
-/// runners construct no recorder/registry/profiler at all and the run is
+/// runner constructs no recorder/registry/profiler at all and the run is
 /// bit for bit the same as before the obs layer existed.
 struct ObsSpec {
   /// Trace recorder mode: "off", "ring" (bounded in-memory buffer,

@@ -183,6 +183,24 @@ TEST(ConfigLoader, FederatedRejectsBadDomainKeys) {
                util::ConfigError);
 }
 
+TEST(ConfigLoader, FederatedDomainCountCoversTheMacroShape) {
+  // The 100-domain fed_aligned / perf_macro shape is writable as a config
+  // file; the bound on `domains` is a sanity cap, not a design limit.
+  const auto fs = scenario::federated_scenario_from_config(
+      util::Config::from_string("nodes = 5000\ndomains = 100\nbandwidth.99.0 = 50\n"));
+  ASSERT_EQ(fs.domains.size(), 100u);
+  EXPECT_EQ(fs.domains[99].cluster.nodes, 50);
+  ASSERT_EQ(fs.migration.links.size(), 1u);
+  EXPECT_EQ(fs.migration.links[0].from, 99u);
+  EXPECT_EQ(fs.migration.links[0].to, 0u);
+
+  for (const char* bad : {"domains = 0\n", "domains = 4097\n"}) {
+    EXPECT_THROW((void)scenario::federated_scenario_from_config(util::Config::from_string(bad)),
+                 util::ConfigError)
+        << bad;
+  }
+}
+
 TEST(ConfigLoader, FederatedScenarioActuallyRuns) {
   const auto cfg = util::Config::from_string(
       "name = mini-fed\n"

@@ -132,6 +132,23 @@ TEST(FederationEquivalence, OneDomainMatchesUnderNoisyMonitoring) {
   require_same_series(fed.domains[0].result.series, single.series, "tx_alloc_mhz");
 }
 
+// federate() carries SLOs into the shards, so a single-world SLO run (which
+// goes through federate(s, 1)) keeps its alerts.
+TEST(FederationEquivalence, FederateKeepsSlos) {
+  auto s = mid_scenario();
+  s.slos.push_back({"web", 0.9, 7200.0, 1200.0, 1.0});
+  s.slos.push_back({"jobs", 0.5, 14400.0, 3600.0, 1.5});
+  const scenario::FederatedScenario fs = scenario::federate(s, 3);
+  ASSERT_EQ(fs.slos.size(), s.slos.size());
+  for (std::size_t i = 0; i < s.slos.size(); ++i) {
+    EXPECT_EQ(fs.slos[i].app, s.slos[i].app);
+    EXPECT_DOUBLE_EQ(fs.slos[i].target, s.slos[i].target);
+    EXPECT_DOUBLE_EQ(fs.slos[i].long_window_s, s.slos[i].long_window_s);
+    EXPECT_DOUBLE_EQ(fs.slos[i].short_window_s, s.slos[i].short_window_s);
+    EXPECT_DOUBLE_EQ(fs.slos[i].burn_threshold, s.slos[i].burn_threshold);
+  }
+}
+
 // --- multi-domain integration ------------------------------------------------
 
 namespace {

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -457,6 +459,36 @@ TEST(MachineClassConfig, FederatedDomainClassCountOverride) {
   EXPECT_EQ(d1[2].count, 2);
   // A zero-count pool still registers its class, so ClassIds align.
   EXPECT_EQ(d1[1].klass.name, "gpu");
+}
+
+TEST(MachineClassSeries, PlaceableCapacityRecordedPerDomainOnlyWithClasses) {
+  auto s = scenario::scenario_from_config(util::Config::from_string(
+      hetero_config_text() + "jobs.count = 6\nhorizon_s = 3000\nsample_interval_s = 600\n"));
+  const auto single = scenario::run_experiment(s, {});
+  for (const char* name : {"class_arm_placeable_mhz", "class_gpu_placeable_mhz",
+                           "class_x86_placeable_mhz"}) {
+    const util::TimeSeries* series = single.series.find(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_FALSE(series->empty()) << name;
+  }
+
+  s.obs.metrics_path = ::testing::TempDir() + "machine_class_metrics.prom";
+  const auto fed = scenario::run_federated_experiment(scenario::federate(s, 2), {});
+  ASSERT_EQ(fed.domains.size(), 2u);
+  for (const auto& d : fed.domains) {
+    ASSERT_NE(d.result.series.find("class_gpu_placeable_mhz"), nullptr) << d.name;
+  }
+  std::ifstream prom(s.obs.metrics_path);
+  const std::string text{std::istreambuf_iterator<char>(prom), {}};
+  EXPECT_NE(text.find("cluster_class_placeable_mhz{domain=\"dc1\",class=\"gpu\"}"),
+            std::string::npos)
+      << text;
+
+  // Scalar clusters record no class series (their digests are pinned).
+  for (const std::string& name :
+       scenario::run_experiment(scalar_single_scenario(), {}).series.names()) {
+    EXPECT_NE(name.rfind("class_", 0), 0u) << name;
+  }
 }
 
 TEST(MachineClassConfig, FederatedScalarDomainKeysRejectedWithClasses) {

@@ -700,30 +700,62 @@ TEST(MigrationScenario, ModeInapplicableLinkKeysAreRejected) {
                util::ConfigError);
 }
 
-TEST(MigrationScenario, DeprecatedBandwidthKeyStillLoads) {
-  // The value was always MB/s; the old *_mbps spelling keeps loading.
+TEST(MigrationScenario, RemovedBandwidthAliasIsAnUnknownKey) {
   util::Config cfg;
   cfg.set("migration.default_bandwidth_mbps", "250");
-  EXPECT_DOUBLE_EQ(scenario::federated_scenario_from_config(cfg)
-                       .migration.default_bandwidth_mb_per_s,
-                   250.0);
-
-  // Both spellings at once is ambiguous and rejected.
-  util::Config both;
-  both.set("migration.default_bandwidth_mb_per_s", "250");
-  both.set("migration.default_bandwidth_mbps", "125");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(both), util::ConfigError);
-
-  // A bad value through the alias is diagnosed under the key the user
-  // actually wrote.
-  util::Config neg;
-  neg.set("migration.default_bandwidth_mbps", "-5");
   try {
-    (void)scenario::federated_scenario_from_config(neg);
-    FAIL() << "negative bandwidth accepted";
+    (void)scenario::federated_scenario_from_config(cfg);
+    FAIL() << "removed alias accepted";
   } catch (const util::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("migration.default_bandwidth_mbps"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()),
+              "unknown scenario config key: 'migration.default_bandwidth_mbps'");
+  }
+}
+
+TEST(MigrationScenario, LoaderAndRunnerShareOneValidator) {
+  // A bad link override fails with the same config-key message whether it
+  // arrives as config text or as a hand-built spec handed to the runner.
+  const auto message_of = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const util::ConfigError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::pair<const char*, scenario::LinkSpec> cases[] = {
+      {"bandwidth.0.1 = -400\n", {0, 1, -400.0, -1.0}},
+      {"link_latency.1.0 = -3\n", {1, 0, -1.0, -3.0}},
+      {"bandwidth.0.2 = 50\n", {0, 2, 50.0, -1.0}},
+  };
+  for (const auto& [text, link] : cases) {
+    const std::string loaded = message_of([&] {
+      (void)scenario::federated_scenario_from_config(
+          util::Config::from_string(std::string("nodes = 4\ndomains = 2\n") + text));
+    });
+    auto base = scenario::section3_scaled(0.2);
+    base.horizon_s = 600.0;
+    scenario::FederatedScenario fs = scenario::federate(base, 2);
+    fs.migration.enabled = true;
+    fs.migration.links.push_back(link);
+    const std::string ran = message_of([&] { (void)scenario::run_federated_experiment(fs); });
+    EXPECT_NE(loaded, "accepted") << text;
+    EXPECT_EQ(loaded, ran) << text;
+  }
+  EXPECT_EQ(message_of([] {
+              (void)scenario::federated_scenario_from_config(
+                  util::Config::from_string("domains = 2\nbandwidth.0.1 = -400\n"));
+            }),
+            "bandwidth.0.1: must be positive");
+
+  // Keys whose suffix is not canonical domain indices are unknown keys.
+  for (const char* key : {"bandwidth.0.x", "bandwidth.01.1", "bandwidth.0.1.2",
+                          "link_latency.1", "uplink_bandwidth.+1"}) {
+    util::Config cfg;
+    cfg.set("domains", "2");
+    cfg.set(key, "5");
+    EXPECT_EQ(message_of([&] { (void)scenario::federated_scenario_from_config(cfg); }),
+              std::string("unknown scenario config key: '") + key + "'");
   }
 }
 
