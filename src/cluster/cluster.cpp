@@ -10,6 +10,8 @@ util::NodeId Cluster::add_node(Resources capacity, ClassId klass) {
   (void)classes_.at(klass);  // validate the id against the registry
   const util::NodeId id{static_cast<util::NodeId::underlying_type>(nodes_.size())};
   nodes_.emplace_back(id, capacity, klass);
+  total_capacity_ += capacity;
+  placeable_dirty_ = true;
   return id;
 }
 
@@ -26,17 +28,31 @@ void Cluster::add_class_nodes(ClassId klass, int count) {
   add_nodes(count, c.capacity(), klass);
 }
 
-std::vector<Resources> Cluster::placeable_capacity_by_class() const {
-  std::vector<Resources> per_class(classes_.size());
+void Cluster::refresh_placeable() const {
+  if (!placeable_dirty_) return;
+  Resources total{};
+  placeable_by_class_.assign(classes_.size(), Resources{});
   for (const auto& n : nodes_) {
     if (!n.placeable()) continue;
-    per_class[static_cast<std::size_t>(n.klass())] +=
-        Resources{n.placeable_cpu(), n.capacity().mem};
+    const Resources r{n.placeable_cpu(), n.capacity().mem};
+    total += r;
+    placeable_by_class_[static_cast<std::size_t>(n.klass())] += r;
   }
-  return per_class;
+  placeable_ = total;
+  placeable_dirty_ = false;
 }
 
-Node& Cluster::node(util::NodeId id) {
+const std::vector<Resources>& Cluster::placeable_capacity_by_class() const {
+  refresh_placeable();
+  return placeable_by_class_;
+}
+
+Resources Cluster::placeable_capacity() const {
+  refresh_placeable();
+  return placeable_;
+}
+
+Node& Cluster::node_mut(util::NodeId id) {
   if (!id.valid() || id.get() >= nodes_.size()) {
     throw std::out_of_range("Cluster::node: bad node id");
   }
@@ -44,22 +60,17 @@ Node& Cluster::node(util::NodeId id) {
 }
 
 const Node& Cluster::node(util::NodeId id) const {
-  return const_cast<Cluster*>(this)->node(id);
+  return const_cast<Cluster*>(this)->node_mut(id);
 }
 
-Resources Cluster::total_capacity() const {
-  Resources total{};
-  for (const auto& n : nodes_) total += n.capacity();
-  return total;
+void Cluster::set_power_state(util::NodeId id, PowerState s) {
+  node_mut(id).set_power_state(s);
+  placeable_dirty_ = true;
 }
 
-Resources Cluster::placeable_capacity() const {
-  Resources total{};
-  for (const auto& n : nodes_) {
-    if (!n.placeable()) continue;
-    total += Resources{n.placeable_cpu(), n.capacity().mem};
-  }
-  return total;
+void Cluster::set_speed_factor(util::NodeId id, double f) {
+  node_mut(id).set_speed_factor(f);
+  placeable_dirty_ = true;
 }
 
 Resources Cluster::total_used() const {
@@ -109,7 +120,7 @@ std::vector<util::VmId> Cluster::vm_ids() const { return vm_order_; }
 bool Cluster::place_vm(util::VmId id, util::NodeId node_id) {
   Vm& v = vm_mut(id);
   if (v.placed()) return false;
-  Node& n = node(node_id);
+  Node& n = node_mut(node_id);
   if (!n.add_vm(id, Resources{util::CpuMhz{0.0}, v.memory})) return false;
   v.node = node_id;
   v.cpu_share = util::CpuMhz{0.0};
@@ -119,7 +130,7 @@ bool Cluster::place_vm(util::VmId id, util::NodeId node_id) {
 void Cluster::unplace_vm(util::VmId id) {
   Vm& v = vm_mut(id);
   if (!v.placed()) return;
-  node(v.node).remove_vm(id);
+  node_mut(v.node).remove_vm(id);
   v.node = util::NodeId{};
   v.cpu_share = util::CpuMhz{0.0};
 }
@@ -139,7 +150,7 @@ bool Cluster::set_cpu_share(util::VmId id, util::CpuMhz cpu) {
   Vm& v = vm_mut(id);
   if (!v.placed()) return false;
   if (cpu.get() < 0.0) return false;
-  if (!node(v.node).set_vm_cpu(id, cpu)) return false;
+  if (!node_mut(v.node).set_vm_cpu(id, cpu)) return false;
   v.cpu_share = cpu;
   return true;
 }

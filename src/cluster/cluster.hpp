@@ -5,6 +5,14 @@
 // The Cluster is the "plant" that the placement controller manipulates.
 // It enforces the physical invariants (no CPU or memory over-commitment,
 // legal VM lifecycle transitions); policy lives elsewhere.
+//
+// Invariant: nodes are mutated only through Cluster. Callers get const
+// Node& only; power-state and DVFS changes go through set_power_state /
+// set_speed_factor, VM residency through place_vm / unplace_vm /
+// set_cpu_share. That is what keeps the cached capacity aggregates
+// (total_capacity, placeable_capacity, placeable_capacity_by_class)
+// current by construction, so the federation's per-arrival status
+// snapshot reads them in O(1) instead of rescanning every node.
 
 #include <optional>
 #include <string>
@@ -33,7 +41,10 @@ class Cluster {
 
   /// Register a machine class; nodes reference classes by the returned
   /// id. The registry always holds the implicit default class at id 0.
-  ClassId add_class(MachineClass c) { return classes_.add(std::move(c)); }
+  ClassId add_class(MachineClass c) {
+    placeable_dirty_ = true;  // the per-class vector grows
+    return classes_.add(std::move(c));
+  }
 
   /// Add `count` nodes of class `klass`, capacity taken from the class
   /// definition (delivered MHz × memory). Throws on a bad id or a class
@@ -45,19 +56,33 @@ class Cluster {
   /// Placeable capacity aggregated per class id (vector indexed by
   /// ClassId, sized classes().size()): active nodes only, CPU scaled by
   /// each node's P-state — the per-class analogue of placeable_capacity.
-  [[nodiscard]] std::vector<Resources> placeable_capacity_by_class() const;
+  /// Cached like placeable_capacity(); the reference stays valid until
+  /// the next node or class mutation.
+  [[nodiscard]] const std::vector<Resources>& placeable_capacity_by_class() const;
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] Node& node(util::NodeId id);
   [[nodiscard]] const Node& node(util::NodeId id) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
-  [[nodiscard]] Resources total_capacity() const;
+  // --- node power state (the only node mutators besides VM placement) -------
+
+  /// Drive a node's sleep state machine (see Node::set_power_state).
+  void set_power_state(util::NodeId id, PowerState s);
+
+  /// Set a node's DVFS speed factor (see Node::set_speed_factor).
+  void set_speed_factor(util::NodeId id, double f);
+
+  /// Raw capacity of every node, parked or not. O(1): a running sum kept
+  /// by add_node, folded in node order like a fresh loop would be.
+  [[nodiscard]] Resources total_capacity() const { return total_capacity_; }
   [[nodiscard]] Resources total_used() const;
 
   /// Capacity placement may use right now: active nodes only, CPU scaled
   /// by each node's P-state. With every node active at full speed this is
   /// bit-identical to total_capacity() (the power-disabled invariant).
+  /// O(1) between node mutations; the first read after a power-state or
+  /// speed change re-folds every node in order, so the value is
+  /// bit-identical to a fresh sum.
   [[nodiscard]] Resources placeable_capacity() const;
 
   // --- VM lifecycle --------------------------------------------------------
@@ -106,8 +131,19 @@ class Cluster {
 
  private:
   [[nodiscard]] Vm& vm_mut(util::VmId id);
+  [[nodiscard]] Node& node_mut(util::NodeId id);
+  /// Re-fold the placeable aggregates if a node or class changed since
+  /// the last read.
+  void refresh_placeable() const;
 
   std::vector<Node> nodes_;
+  Resources total_capacity_{};
+  // Placeable aggregates, rebuilt lazily after a mutation. A cluster
+  // belongs to one domain, and the engine never runs two events of one
+  // domain concurrently, so the lazy rebuild needs no lock.
+  mutable bool placeable_dirty_{true};
+  mutable Resources placeable_{};
+  mutable std::vector<Resources> placeable_by_class_;
   MachineClassRegistry classes_;
   std::unordered_map<util::VmId, Vm> vms_;
   std::vector<util::VmId> vm_order_;  // insertion order for deterministic iteration

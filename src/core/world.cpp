@@ -9,6 +9,7 @@ void World::add_app(workload::TxApp app) {
   if (app_index_.count(id) > 0) throw std::invalid_argument("World::add_app: duplicate app id");
   app_index_.emplace(id, apps_.size());
   apps_.push_back(std::move(app));
+  ++apps_epoch_;
 }
 
 const workload::TxApp& World::app(util::AppId id) const {
@@ -20,6 +21,7 @@ const workload::TxApp& World::app(util::AppId id) const {
 workload::TxApp& World::app_mut(util::AppId id) {
   auto it = app_index_.find(id);
   if (it == app_index_.end()) throw std::out_of_range("World::app_mut: unknown app id");
+  ++apps_epoch_;
   return apps_[it->second];
 }
 

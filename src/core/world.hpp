@@ -4,6 +4,7 @@
 // and the job population — shared by the controller, the executor, and
 // the experiment driver.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -29,8 +30,13 @@ class World {
   [[nodiscard]] bool app_exists(util::AppId id) const { return app_index_.count(id) > 0; }
   [[nodiscard]] const workload::TxApp& app(util::AppId id) const;
   /// Mutable access, used by the federation layer to re-split an app's
-  /// demand trace across domains (e.g. on a brownout).
+  /// demand trace across domains (e.g. on a brownout). Bumps
+  /// apps_epoch(): mutate through the returned reference right away,
+  /// not after a later read of the app registry.
   [[nodiscard]] workload::TxApp& app_mut(util::AppId id);
+  /// Changes whenever the app registry may have changed (add_app,
+  /// app_mut), so callers can cache values derived from the apps.
+  [[nodiscard]] std::uint64_t apps_epoch() const { return apps_epoch_; }
 
   /// Submit a job (typically from an arrival event). The job starts in
   /// phase kPending with no VM.
@@ -65,6 +71,7 @@ class World {
   cluster::Cluster cluster_;
   std::vector<workload::TxApp> apps_;
   std::map<util::AppId, std::size_t> app_index_;  // id → position in apps_
+  std::uint64_t apps_epoch_{0};
   std::map<util::JobId, workload::Job> jobs_;
   std::vector<util::JobId> job_order_;
 };

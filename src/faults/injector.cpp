@@ -166,7 +166,7 @@ void FaultInjector::crash_node(const FaultWindow& w) {
   core::World& world = *h.world;
   cluster::Cluster& cl = world.cluster();
   const util::NodeId nid = cl.nodes()[w.node].id();
-  cluster::Node& node = cl.node(nid);
+  const cluster::Node& node = cl.node(nid);
   if (node.power_state() == cluster::PowerState::kFailed) return;
   const util::Seconds now = engine_.now();
 
@@ -205,7 +205,7 @@ void FaultInjector::crash_node(const FaultWindow& w) {
     }
   }
 
-  node.set_power_state(cluster::PowerState::kFailed);
+  cl.set_power_state(nid, cluster::PowerState::kFailed);
   if (h.power != nullptr) h.power->on_node_failed(nid);
 
   st.failed_nodes.insert(w.node);
@@ -248,10 +248,9 @@ void FaultInjector::recover_node(const FaultWindow& w) {
   DomainState& st = state_[w.domain];
   cluster::Cluster& cl = h.world->cluster();
   const util::NodeId nid = cl.nodes()[w.node].id();
-  cluster::Node& node = cl.node(nid);
-  if (node.power_state() != cluster::PowerState::kFailed) return;
+  if (cl.node(nid).power_state() != cluster::PowerState::kFailed) return;
 
-  node.set_power_state(cluster::PowerState::kActive);
+  cl.set_power_state(nid, cluster::PowerState::kActive);
   if (h.power != nullptr) h.power->on_node_recovered(nid);
 
   st.failed_nodes.erase(w.node);

@@ -1,19 +1,35 @@
 #include "federation/domain.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace heteroplace::federation {
 
 util::CpuMhz Domain::offered_cpu_load(util::Seconds now) const {
+  if (tx_epoch_ != world_.apps_epoch() || !(tx_lo_ < now.get() && now.get() < tx_hi_)) {
+    refresh_tx_loads(now);
+  }
   double jobs = 0.0;
   for (const auto& [speed, count] : speed_hist_) {
     jobs += speed * static_cast<double>(count);
   }
   util::CpuMhz load{jobs};
-  for (const workload::TxApp& app : world_.apps()) {
-    load += app.offered_load(now);
-  }
+  for (util::CpuMhz tx : tx_loads_) load += tx;
   return load;
+}
+
+void Domain::refresh_tx_loads(util::Seconds now) const {
+  tx_loads_.clear();
+  tx_lo_ = -std::numeric_limits<double>::infinity();
+  tx_hi_ = std::numeric_limits<double>::infinity();
+  for (const workload::TxApp& app : world_.apps()) {
+    tx_loads_.push_back(app.offered_load(now));
+    const workload::DemandTrace::RateWindow w = app.trace().window_at(now);
+    tx_lo_ = std::max(tx_lo_, w.lo);
+    tx_hi_ = std::min(tx_hi_, w.hi);
+  }
+  tx_epoch_ = world_.apps_epoch();
 }
 
 util::CpuMhz Domain::offered_cpu_load_recomputed(util::Seconds now) const {

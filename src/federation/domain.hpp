@@ -9,10 +9,12 @@
 // executor — is exactly the single-cluster code, unchanged; the federation
 // only decides which domain each unit of work lands in.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "core/world.hpp"
@@ -66,6 +68,11 @@ class Domain {
   /// job part is answered from incrementally maintained aggregates
   /// (updated on submit / completion / cross-domain handoff) so the
   /// router's per-arrival status snapshot does not rescan every job.
+  /// The per-app tx loads are cached while `now` stays strictly between
+  /// the apps' trace breakpoints and the app registry is unchanged, so
+  /// the snapshot does not search every trace either. Summation order
+  /// (jobs first, then apps in registry order) matches the recomputed
+  /// reference bit for bit.
   [[nodiscard]] util::CpuMhz offered_cpu_load(util::Seconds now) const;
 
   /// Same quantity recomputed from scratch over the job population —
@@ -113,6 +120,17 @@ class Domain {
   // sum the way running subtraction on a double accumulator would.
   long active_jobs_{0};
   std::map<double, long> speed_hist_;
+
+  // Per-app offered tx loads (registry order), valid for query times in
+  // the open interval (tx_lo_, tx_hi_) while world_.apps_epoch() equals
+  // tx_epoch_. Starts empty-windowed, so the first read fills it. Only
+  // serial (unsharded) events read it — routing, demand re-splits and
+  // migration ticks — so the lazy refill needs no lock.
+  void refresh_tx_loads(util::Seconds now) const;
+  mutable std::vector<util::CpuMhz> tx_loads_;
+  mutable double tx_lo_{0.0};
+  mutable double tx_hi_{0.0};
+  mutable std::uint64_t tx_epoch_{0};
 };
 
 }  // namespace heteroplace::federation

@@ -74,7 +74,8 @@ std::vector<double> Federation::normalized_shares(const workload::TxAppSpec& spe
 
 void Federation::add_app(workload::TxAppSpec spec, workload::DemandTrace trace) {
   if (domains_.empty()) throw std::logic_error("Federation::add_app: no domains");
-  std::vector<double> shares = normalized_shares(spec, status(engine_.now()));
+  fill_status(engine_.now(), route_status_);
+  std::vector<double> shares = normalized_shares(spec, route_status_);
   FederatedApp app{std::move(spec), std::move(trace), std::move(shares)};
   for (auto& domain : domains_) {
     domain->world().add_app(
@@ -88,7 +89,8 @@ Domain& Federation::submit_job(workload::JobSpec spec) {
   if (job_domain_.count(spec.id) > 0) {
     throw std::invalid_argument("Federation::submit_job: duplicate job id");
   }
-  std::size_t index = router_->route_job(spec, status(engine_.now()));
+  fill_status(engine_.now(), route_status_);
+  std::size_t index = router_->route_job(spec, route_status_);
   if (index >= domains_.size()) {
     throw std::logic_error("DomainRouter::route_job: index out of range");
   }
@@ -167,13 +169,13 @@ void Federation::resplit_demand() {
   // would alias the same breakpoints anyway — so a weight event costs
   // only the splits it actually changed. The scaled() views themselves
   // are O(1) (shared breakpoints), not deep copies.
-  const std::vector<DomainStatus> st = status(engine_.now());
+  fill_status(engine_.now(), route_status_);
   if (obs_.trace != nullptr) {
     obs_.trace->instant(obs_.pid, obs::Lane::kRouter, "resplit_demand", engine_.now().get(),
                         {{"apps", static_cast<double>(apps_.size())}});
   }
   for (auto& app : apps_) {
-    std::vector<double> shares = normalized_shares(app.spec, st);
+    std::vector<double> shares = normalized_shares(app.spec, route_status_);
     for (auto& d : domains_) {
       const std::size_t i = d->index();
       if (shares[i] == app.shares[i]) continue;
@@ -218,29 +220,33 @@ util::CpuMhz Federation::total_capacity() const {
 
 std::vector<DomainStatus> Federation::status(util::Seconds now) const {
   std::vector<DomainStatus> out;
-  out.reserve(domains_.size());
+  fill_status(now, out);
+  return out;
+}
+
+void Federation::fill_status(util::Seconds now, std::vector<DomainStatus>& out) const {
+  out.resize(domains_.size());
   for (const auto& d : domains_) {
-    DomainStatus s;
+    DomainStatus& s = out[d->index()];
     s.index = d->index();
     s.weight = d->weight();
     s.capacity = d->total_cpu();
     s.effective = d->effective_cpu();
     s.offered_load = d->offered_cpu_load(now);
     s.active_jobs = d->active_job_count();
-    if (transfer_queue_probe_) s.outbound_transfers_queued = transfer_queue_probe_(d->index());
-    if (power_probe_) s.power_draw_w = power_probe_(d->index());
+    s.outbound_transfers_queued = transfer_queue_probe_ ? transfer_queue_probe_(d->index()) : 0;
     // Per-class headroom for constraint-aware routing; scalar domains
     // leave both vectors empty and routers fall back to `effective`.
+    s.classes.clear();
+    s.class_headroom.clear();
     const auto& reg = d->world().cluster().classes();
     if (reg.explicit_classes()) {
       s.classes = reg.classes();
-      const auto by_class = d->world().cluster().placeable_capacity_by_class();
-      s.class_headroom.reserve(by_class.size());
-      for (const auto& r : by_class) s.class_headroom.push_back(r.cpu * d->weight());
+      for (const auto& r : d->world().cluster().placeable_capacity_by_class()) {
+        s.class_headroom.push_back(r.cpu * d->weight());
+      }
     }
-    out.push_back(s);
   }
-  return out;
 }
 
 }  // namespace heteroplace::federation

@@ -117,13 +117,6 @@ class Federation {
     transfer_queue_probe_ = std::move(probe);
   }
 
-  /// Probe for per-domain live power draw (W), registered by the
-  /// experiment runner when the power subsystem is enabled (each domain's
-  /// PowerManager owns its EnergyMeter). When set, status() fills
-  /// DomainStatus::power_draw_w from it.
-  using PowerProbe = std::function<double(std::size_t domain)>;
-  void set_power_probe(PowerProbe probe) { power_probe_ = std::move(probe); }
-
   /// Observer of domain weight changes (old weight, new weight), invoked
   /// after the weight is applied and demand re-split. The migration
   /// manager uses it to cancel queued evacuation transfers when a
@@ -138,12 +131,25 @@ class Federation {
   [[nodiscard]] util::CpuMhz total_capacity() const;
 
   /// Router-facing snapshot of every domain at time `now`.
+  ///
+  /// Cost model: O(domains), O(1) per domain. Every field is read from a
+  /// cached or incrementally maintained aggregate — cluster capacity
+  /// (Cluster::total_capacity / placeable_capacity), the job-load
+  /// histogram and the per-app tx loads (Domain::offered_cpu_load) — so
+  /// no node, job or trace breakpoint is visited per call. Explicit
+  /// machine classes add O(classes) per domain. Job routing refreshes
+  /// one member snapshot in place rather than building a new vector per
+  /// arrival.
   [[nodiscard]] std::vector<DomainStatus> status(util::Seconds now) const;
 
  private:
   /// Normalized demand shares for `spec` given a status snapshot.
   [[nodiscard]] std::vector<double> normalized_shares(const workload::TxAppSpec& spec,
                                                       const std::vector<DomainStatus>& st);
+
+  /// Rewrite every field of `out` (resized to one entry per domain) with
+  /// the status at `now`.
+  void fill_status(util::Seconds now, std::vector<DomainStatus>& out) const;
 
   struct FederatedApp {
     workload::TxAppSpec spec;
@@ -160,7 +166,7 @@ class Federation {
   obs::ObsContext obs_;
   obs::Counter* routed_jobs_metric_{nullptr};
   TransferQueueProbe transfer_queue_probe_;
-  PowerProbe power_probe_;
+  std::vector<DomainStatus> route_status_;  // reused by every submit_job
   WeightObserver weight_observer_;
   bool started_{false};
 };

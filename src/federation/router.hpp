@@ -39,10 +39,6 @@ struct DomainStatus {
   /// Outbound migration transfers queued behind this domain's contended
   /// links (0 when migration is off; see Federation::set_transfer_queue_probe).
   std::size_t outbound_transfers_queued{0};
-  /// Live power draw of the domain's cluster in watts (0 when the power
-  /// subsystem is off; see Federation::set_power_probe). Energy-aware
-  /// routers can prefer domains with headroom under their power caps.
-  double power_draw_w{0.0};
   /// Machine-class table and per-class weight-scaled placeable CPU
   /// (parallel vectors indexed by ClassId). Both empty when the domain's
   /// cluster has no explicit classes — the scalar case pays nothing and

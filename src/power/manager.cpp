@@ -168,7 +168,7 @@ void PowerManager::tick() {
 }
 
 void PowerManager::park_node(util::NodeId id) {
-  world_.cluster().node(id).set_power_state(PowerState::kParking);
+  world_.cluster().set_power_state(id, PowerState::kParking);
   ++stats_.parks;
   if (parks_metric_ != nullptr) parks_metric_->inc();
   if (obs_.trace != nullptr) {
@@ -180,11 +180,11 @@ void PowerManager::park_node(util::NodeId id) {
   const std::size_t idx = id.get();
   engine_.schedule_in(util::Seconds{model_.park_latency_s}, sim::EventPriority::kPower,
                       options_.shard, [this, id, idx] {
-                        cluster::Node& node = world_.cluster().node(id);
+                        cluster::Cluster& cl = world_.cluster();
                         // A crash (fault injection) may have pre-empted the
                         // transition; the injector owns the node until recovery.
-                        if (node.power_state() != PowerState::kParking) return;
-                        node.set_power_state(PowerState::kParked);
+                        if (cl.node(id).power_state() != PowerState::kParking) return;
+                        cl.set_power_state(id, PowerState::kParked);
                         meter_.set_draw(idx, model_.parked_w(options_.park_depth), engine_.now());
                         if (obs_.trace != nullptr) {
                           obs_.trace->instant(obs_.pid, obs::Lane::kPower, "parked",
@@ -195,7 +195,7 @@ void PowerManager::park_node(util::NodeId id) {
 }
 
 void PowerManager::wake_node(util::NodeId id) {
-  world_.cluster().node(id).set_power_state(PowerState::kWaking);
+  world_.cluster().set_power_state(id, PowerState::kWaking);
   ++stats_.wakes;
   if (wakes_metric_ != nullptr) wakes_metric_->inc();
   if (obs_.sla != nullptr) obs_.sla->on_wake_begin(engine_.now().get());
@@ -208,16 +208,16 @@ void PowerManager::wake_node(util::NodeId id) {
   meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
   engine_.schedule_in(util::Seconds{model_.wake_latency_s}, sim::EventPriority::kPower,
                       options_.shard, [this, id] {
-                        cluster::Node& node = world_.cluster().node(id);
+                        cluster::Cluster& cl = world_.cluster();
                         // The wake interval ends here even when a crash
                         // mid-wake aborts the transition below — the ledger's
                         // begin/end metering must stay balanced.
                         if (obs_.sla != nullptr) obs_.sla->on_wake_end(engine_.now().get());
                         // See park_node: a crash mid-wake leaves the node to
                         // the fault injector.
-                        if (node.power_state() != PowerState::kWaking) return;
-                        node.set_power_state(PowerState::kActive);
-                        node.set_speed_factor(model_.speed_at(pstate_));
+                        if (cl.node(id).power_state() != PowerState::kWaking) return;
+                        cl.set_power_state(id, PowerState::kActive);
+                        cl.set_speed_factor(id, model_.speed_at(pstate_));
                         meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
                         if (obs_.trace != nullptr) {
                           obs_.trace->instant(obs_.pid, obs::Lane::kPower, "woke",
@@ -247,10 +247,10 @@ void PowerManager::apply_pstate(int p) {
   const double watts = model_.active_w(p);
   auto& cl = world_.cluster();
   for (std::size_t i = 0; i < cl.node_count(); ++i) {
-    cluster::Node& node = cl.node(util::NodeId{static_cast<util::NodeId::underlying_type>(i)});
-    switch (node.power_state()) {
+    const util::NodeId id{static_cast<util::NodeId::underlying_type>(i)};
+    switch (cl.node(id).power_state()) {
       case PowerState::kActive:
-        node.set_speed_factor(factor);
+        cl.set_speed_factor(id, factor);
         meter_.set_draw(i, watts, now);
         break;
       case PowerState::kParking:
@@ -273,8 +273,7 @@ void PowerManager::on_node_failed(util::NodeId id) {
 }
 
 void PowerManager::on_node_recovered(util::NodeId id) {
-  cluster::Node& node = world_.cluster().node(id);
-  node.set_speed_factor(model_.speed_at(pstate_));
+  world_.cluster().set_speed_factor(id, model_.speed_at(pstate_));
   meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
 }
 

@@ -158,11 +158,9 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   }
   sim::Engine engine;
   engine.set_threads(static_cast<unsigned>(effective_engine_threads(fs.engine_threads)));
-  // Declared before the federation: `fed` holds a probe into this vector
-  // (set_power_probe below), so the vector must strictly outlive it.
   std::vector<std::unique_ptr<power::PowerManager>> power_mgrs;
-  // Declared before the federation for the same lifetime reason: domain
-  // controllers hold ObsContext pointers into this bundle.
+  // Declared before the federation: domain controllers hold ObsContext
+  // pointers into this bundle, so it must strictly outlive `fed`.
   Observability obs = make_observability(fs.obs, fs.slos);
   if (obs.trace) {
     engine.set_observer(obs.trace.get());
@@ -315,10 +313,6 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
             obs.context(static_cast<std::uint32_t>(i + 1), fed.domain(i).name()));
       }
     }
-    // Surface live per-domain draw in Federation::status so routers (and
-    // future energy-aware policies) can observe it.
-    fed.set_power_probe(
-        [&power_mgrs](std::size_t domain) { return power_mgrs[domain]->current_draw_w(); });
     // Share each controller's same-timestamp post-apply PlacementProblem
     // skeleton with its domain's power tick — but only when migration is
     // off: kMigration events land between kController and kPower at one

@@ -1,6 +1,7 @@
 #include "workload/transactional.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace heteroplace::workload {
@@ -24,15 +25,24 @@ void DemandTrace::add(util::Seconds from, double rate) {
   points_->push_back({from, rate});
 }
 
-double DemandTrace::rate_at(util::Seconds t) const {
-  if (empty()) return 0.0;
+double DemandTrace::rate_at(util::Seconds t) const { return window_at(t).rate; }
+
+DemandTrace::RateWindow DemandTrace::window_at(util::Seconds t) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (empty()) return {0.0, -kInf, kInf};
   const std::vector<Point>& pts = *points_;
-  if (t.get() <= pts.front().from.get()) return pts.front().rate * scale_;
+  // At or before the first breakpoint the first point's rate holds. The
+  // window closes at front().from: with duplicate breakpoints there, the
+  // rate just after it is the last duplicate's.
+  if (t.get() <= pts.front().from.get()) {
+    return {pts.front().rate * scale_, -kInf, pts.front().from.get()};
+  }
   // Last point with from <= t.
   auto it = std::upper_bound(
       pts.begin(), pts.end(), t.get(),
       [](double lhs, const Point& p) { return lhs < p.from.get(); });
-  return std::prev(it)->rate * scale_;
+  const double hi = it == pts.end() ? kInf : it->from.get();
+  return {std::prev(it)->rate * scale_, std::prev(it)->from.get(), hi};
 }
 
 std::vector<util::Seconds> DemandTrace::change_times() const {

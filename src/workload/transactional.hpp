@@ -45,6 +45,18 @@ class DemandTrace {
   [[nodiscard]] double rate_at(util::Seconds t) const;
   [[nodiscard]] bool empty() const { return !points_ || points_->empty(); }
 
+  /// rate_at(t) together with the span around t on which it holds:
+  /// lo <= t <= hi, and rate_at(t') == rate for every t' in the open
+  /// interval (lo, hi). lo / hi are -inf / +inf past the first / last
+  /// breakpoint. Lets a caller cache a rate until the query time leaves
+  /// (lo, hi) instead of searching the breakpoints on every read.
+  struct RateWindow {
+    double rate;
+    double lo;
+    double hi;
+  };
+  [[nodiscard]] RateWindow window_at(util::Seconds t) const;
+
   /// Times at which the rate changes (for scheduling re-evaluation).
   [[nodiscard]] std::vector<util::Seconds> change_times() const;
 

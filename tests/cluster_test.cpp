@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/rng.hpp"
 
 using namespace heteroplace;
@@ -274,3 +280,99 @@ TEST_P(ClusterFuzz, RandomOpsPreserveInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterFuzz, ::testing::Values(3u, 17u, 2024u));
+
+// --- cached capacity aggregates ----------------------------------------------
+//
+// total_capacity, placeable_capacity and placeable_capacity_by_class are
+// cached inside Cluster. These checks pin the caches bit for bit against
+// a fresh fold over the nodes in node order (the uncached definition)
+// across every power-state and DVFS transition the power manager and the
+// fault injector drive.
+
+namespace {
+
+using cluster::PowerState;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_eq(Resources a, Resources b, const std::string& what) {
+  EXPECT_EQ(bits(a.cpu.get()), bits(b.cpu.get())) << what << " cpu";
+  EXPECT_EQ(bits(a.mem.get()), bits(b.mem.get())) << what << " mem";
+}
+
+void expect_caches_match_recompute(const Cluster& c, const std::string& step) {
+  Resources total{};
+  Resources placeable{};
+  std::vector<Resources> by_class(c.classes().size());
+  for (const auto& n : c.nodes()) {
+    total += n.capacity();
+    if (!n.placeable()) continue;
+    const Resources r{n.placeable_cpu(), n.capacity().mem};
+    placeable += r;
+    by_class[static_cast<std::size_t>(n.klass())] += r;
+  }
+  expect_bitwise_eq(c.total_capacity(), total, step + ": total_capacity");
+  expect_bitwise_eq(c.placeable_capacity(), placeable, step + ": placeable_capacity");
+  const std::vector<Resources>& cached = c.placeable_capacity_by_class();
+  ASSERT_EQ(cached.size(), by_class.size()) << step;
+  for (std::size_t k = 0; k < by_class.size(); ++k) {
+    expect_bitwise_eq(cached[k], by_class[k], step + ": class " + std::to_string(k));
+  }
+}
+
+}  // namespace
+
+TEST(ClusterCache, CapacityAggregatesMatchRecomputeAcrossPowerTransitions) {
+  Cluster c;
+  // Capacities whose sums round, so a reordered fold would show.
+  c.add_nodes(3, res(12000.1, 4096.3));
+  expect_caches_match_recompute(c, "default class only");
+  cluster::MachineClass fast;
+  fast.name = "fast";
+  fast.cores = 3;
+  fast.core_mhz = 3333.3;
+  fast.mem_mb = 2047.7;
+  fast.speed_factor = 0.9;
+  const cluster::ClassId k_fast = c.add_class(fast);
+  expect_caches_match_recompute(c, "class added after nodes");
+  c.add_class_nodes(k_fast, 4);
+  c.add_node(res(0.1, 0.7));
+  expect_caches_match_recompute(c, "initial");
+
+  const util::NodeId n1{1};
+  const util::NodeId n4{4};
+  const util::NodeId n6{6};
+
+  c.set_power_state(n1, PowerState::kParking);
+  expect_caches_match_recompute(c, "parking");
+  c.set_power_state(n1, PowerState::kParked);
+  expect_caches_match_recompute(c, "parked");
+  EXPECT_LT(c.placeable_capacity().cpu.get(), c.total_capacity().cpu.get());
+
+  c.set_power_state(n1, PowerState::kWaking);
+  expect_caches_match_recompute(c, "waking");
+  c.set_power_state(n1, PowerState::kActive);
+  expect_caches_match_recompute(c, "woke");
+
+  // DVFS step: every active node throttled, with no read in between.
+  for (const auto& n : c.nodes()) c.set_speed_factor(n.id(), 0.7);
+  expect_caches_match_recompute(c, "dvfs 0.7");
+  for (const auto& n : c.nodes()) c.set_speed_factor(n.id(), 1.0);
+  expect_caches_match_recompute(c, "dvfs 1.0");
+
+  c.set_power_state(n4, PowerState::kFailed);
+  expect_caches_match_recompute(c, "crash");
+  c.set_power_state(n6, PowerState::kFailed);
+  c.set_speed_factor(n1, 0.45);
+  expect_caches_match_recompute(c, "second crash + throttle");
+  c.set_power_state(n4, PowerState::kActive);
+  expect_caches_match_recompute(c, "repair");
+  c.set_power_state(n6, PowerState::kActive);
+  expect_caches_match_recompute(c, "second repair");
+
+  // A rejected transition (the node hosts a VM) leaves the caches valid.
+  const util::VmId vm = c.create_job_vm(util::JobId{0}, 100_mb);
+  ASSERT_TRUE(c.place_vm(vm, n4));
+  EXPECT_THROW(c.set_power_state(n4, PowerState::kParking), std::logic_error);
+  expect_caches_match_recompute(c, "rejected park");
+}

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/utility_policy.hpp"
 #include "scenario/experiment.hpp"
@@ -501,4 +505,128 @@ TEST(FederationIntegration, DrainedStickyDomainHostsNothingUntilRecovery) {
     if (p.t > 30600.0 && p.v > 0.0) hosted_after_recovery = true;
   }
   EXPECT_TRUE(hosted_after_recovery) << "recovered domain never received work again";
+}
+
+// --- routing snapshot caches ---------------------------------------------------
+//
+// Federation::status answers each domain in O(1): the tx part of
+// Domain::offered_cpu_load is cached between trace breakpoints and job
+// routing reuses one snapshot buffer. These pin the cached answers bit
+// for bit against the from-scratch reference.
+
+namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Records what the router saw on the last route_job call.
+class RecordingRouter final : public federation::DomainRouter {
+ public:
+  std::vector<std::size_t> queued;
+  std::vector<std::size_t> active;
+
+  std::size_t route_job(const workload::JobSpec&,
+                        const std::vector<federation::DomainStatus>& domains) override {
+    queued.clear();
+    active.clear();
+    for (const auto& d : domains) {
+      queued.push_back(d.outbound_transfers_queued);
+      active.push_back(d.active_jobs);
+    }
+    return 0;
+  }
+  std::vector<double> demand_shares(const workload::TxAppSpec&,
+                                    const std::vector<federation::DomainStatus>& domains) override {
+    return std::vector<double>(domains.size(), 1.0);
+  }
+  std::string name() const override { return "recording"; }
+};
+
+}  // namespace
+
+TEST(FederationStatusCache, OfferedLoadMatchesRecomputeAroundBreakpointsAndResplits) {
+  sim::Engine engine;
+  federation::Federation fed(engine, federation::make_router("least-loaded"));
+  for (int i = 0; i < 3; ++i) {
+    auto& d = fed.add_domain("d" + std::to_string(i), make_policy());
+    d.world().cluster().add_nodes(2 + i, cluster::Resources{util::CpuMhz{12000.7}, 4096_mb});
+  }
+  // Breakpoints shared (t=100) and staggered, with rates whose split
+  // products round, so a stale or reordered sum would show.
+  workload::DemandTrace t0;
+  t0.add(0_s, 3.3);
+  t0.add(util::Seconds{100.0}, 7.1);
+  t0.add(util::Seconds{250.0}, 1.9);
+  workload::DemandTrace t1;
+  t1.add(util::Seconds{50.0}, 4.4);
+  t1.add(util::Seconds{100.0}, 0.7);
+  t1.add(util::Seconds{300.0}, 5.5);
+  fed.add_app(make_app_spec(0), t0);
+  fed.add_app(make_app_spec(1), t1);
+  for (unsigned id = 0; id < 9; ++id) {
+    workload::JobSpec job = make_job(id);
+    job.max_speed = util::CpuMhz{1000.0 + 333.3 * id};
+    fed.submit_job(job);
+  }
+
+  const auto check = [&](double t, const std::string& what) {
+    for (std::size_t d = 0; d < fed.domain_count(); ++d) {
+      const util::Seconds now{t};
+      EXPECT_EQ(bits(fed.domain(d).offered_cpu_load(now).get()),
+                bits(fed.domain(d).offered_cpu_load_recomputed(now).get()))
+          << what << " (t=" << t << ") domain " << d;
+    }
+  };
+  const auto before = [](double b) { return std::nextafter(b, -1e300); };
+  const auto after = [](double b) { return std::nextafter(b, 1e300); };
+
+  check(10.0, "before the first breakpoint of app 1");
+  check(60.0, "between breakpoints");
+  check(before(100.0), "just before a shared breakpoint");
+  check(100.0, "on a shared breakpoint");
+  check(after(100.0), "just after a shared breakpoint");
+  check(before(100.0), "back before the breakpoint");
+  check(100.0, "on the breakpoint again");
+  check(before(250.0), "just before a staggered breakpoint");
+  check(250.0, "on a staggered breakpoint");
+  check(after(300.0), "past the last breakpoint");
+  check(1e9, "far past the last breakpoint");
+
+  // A weight change re-splits demand at the same query time: the cached
+  // loads must not survive it.
+  const double pre_weight = fed.domain(1).offered_cpu_load(120_s).get();
+  fed.set_domain_weight(1, 0.4);
+  EXPECT_NE(fed.domain(1).offered_cpu_load(120_s).get(), pre_weight);
+  check(120.0, "after set_domain_weight");
+
+  // A node crash re-splits demand without a weight change (what
+  // FaultInjector::crash_node does).
+  const double pre_crash = fed.domain(2).offered_cpu_load(120_s).get();
+  fed.domain(2).world().cluster().set_power_state(util::NodeId{0}, cluster::PowerState::kFailed);
+  fed.resplit_demand();
+  EXPECT_NE(fed.domain(2).offered_cpu_load(120_s).get(), pre_crash);
+  check(120.0, "after a fault resplit");
+  check(after(250.0), "after a fault resplit, next window");
+}
+
+TEST(FederationStatusCache, ReusedRoutingSnapshotRewritesEveryField) {
+  sim::Engine engine;
+  auto router = std::make_unique<RecordingRouter>();
+  RecordingRouter* rec = router.get();
+  federation::Federation fed(engine, std::move(router));
+  for (int i = 0; i < 3; ++i) {
+    auto& d = fed.add_domain("d" + std::to_string(i), make_policy());
+    d.world().cluster().add_nodes(1, cluster::Resources{12000_mhz, 4096_mb});
+  }
+  fed.set_transfer_queue_probe([](std::size_t d) { return d + 3; });
+  fed.submit_job(make_job(0));
+  EXPECT_EQ(rec->queued, (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(rec->active, (std::vector<std::size_t>{0, 0, 0}));
+
+  // Unsetting the probe must zero the field in the reused buffer, not
+  // leave the last probe's answers behind.
+  fed.set_transfer_queue_probe(nullptr);
+  fed.submit_job(make_job(1));
+  EXPECT_EQ(rec->queued, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(rec->active, (std::vector<std::size_t>{1, 0, 0}));
+  for (const auto& s : fed.status(0_s)) EXPECT_EQ(s.outbound_transfers_queued, 0u);
 }

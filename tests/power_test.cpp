@@ -136,7 +136,7 @@ TEST(NodePower, ParkedNodesAdmitNothingAndHostingNodesCannotPark) {
   cl.add_nodes(2, cluster::Resources{12000_mhz, 4096_mb});
   const util::VmId vm = cl.create_job_vm(util::JobId{0}, 1024_mb);
 
-  cl.node(util::NodeId{1}).set_power_state(PowerState::kParked);
+  cl.set_power_state(util::NodeId{1}, PowerState::kParked);
   EXPECT_FALSE(cl.node(util::NodeId{1}).placeable());
   EXPECT_FALSE(cl.node(util::NodeId{1}).can_host(cluster::Resources{0_mhz, 1_mb}));
   EXPECT_FALSE(cl.place_vm(vm, util::NodeId{1}));
@@ -144,18 +144,17 @@ TEST(NodePower, ParkedNodesAdmitNothingAndHostingNodesCannotPark) {
 
   ASSERT_TRUE(cl.place_vm(vm, util::NodeId{0}));
   cl.set_vm_state(vm, cluster::VmState::kStarting);
-  EXPECT_THROW(cl.node(util::NodeId{0}).set_power_state(PowerState::kParking),
-               std::logic_error);
+  EXPECT_THROW(cl.set_power_state(util::NodeId{0}, PowerState::kParking), std::logic_error);
 
   // Waking: still not placeable until the manager flips it active.
-  cl.node(util::NodeId{1}).set_power_state(PowerState::kWaking);
+  cl.set_power_state(util::NodeId{1}, PowerState::kWaking);
   EXPECT_FALSE(cl.node(util::NodeId{1}).placeable());
-  cl.node(util::NodeId{1}).set_power_state(PowerState::kActive);
+  cl.set_power_state(util::NodeId{1}, PowerState::kActive);
   EXPECT_TRUE(cl.node(util::NodeId{1}).placeable());
 
-  EXPECT_THROW(cl.node(util::NodeId{1}).set_speed_factor(0.0), std::invalid_argument);
-  EXPECT_THROW(cl.node(util::NodeId{1}).set_speed_factor(1.5), std::invalid_argument);
-  cl.node(util::NodeId{1}).set_speed_factor(0.5);
+  EXPECT_THROW(cl.set_speed_factor(util::NodeId{1}, 0.0), std::invalid_argument);
+  EXPECT_THROW(cl.set_speed_factor(util::NodeId{1}, 1.5), std::invalid_argument);
+  cl.set_speed_factor(util::NodeId{1}, 0.5);
   EXPECT_DOUBLE_EQ(cl.node(util::NodeId{1}).placeable_cpu().get(), 6000.0);
   EXPECT_TRUE(cl.validate().empty());
 }
@@ -168,16 +167,16 @@ TEST(NodePower, PlaceableCapacityMatchesTotalAtFullPower) {
   EXPECT_EQ(cl.placeable_capacity().cpu.get(), cl.total_capacity().cpu.get());
   EXPECT_EQ(cl.placeable_capacity().mem.get(), cl.total_capacity().mem.get());
 
-  cl.node(util::NodeId{3}).set_power_state(PowerState::kParked);
+  cl.set_power_state(util::NodeId{3}, PowerState::kParked);
   EXPECT_DOUBLE_EQ(cl.placeable_capacity().cpu.get(), 6 * 12000.0);
 }
 
 TEST(NodePower, ProblemSkeletonExcludesUnplaceableNodesAndScalesThrottledOnes) {
   core::World world;
   world.cluster().add_nodes(4, cluster::Resources{12000_mhz, 4096_mb});
-  world.cluster().node(util::NodeId{1}).set_power_state(PowerState::kParked);
-  world.cluster().node(util::NodeId{2}).set_power_state(PowerState::kWaking);
-  world.cluster().node(util::NodeId{3}).set_speed_factor(0.7);
+  world.cluster().set_power_state(util::NodeId{1}, PowerState::kParked);
+  world.cluster().set_power_state(util::NodeId{2}, PowerState::kWaking);
+  world.cluster().set_speed_factor(util::NodeId{3}, 0.7);
 
   const core::PlacementProblem problem = core::build_problem_skeleton(world);
   ASSERT_EQ(problem.nodes.size(), 2u);  // nodes 0 and 3 only
@@ -482,7 +481,7 @@ TEST(PowerScenario, ParkedEnergyStrictlyBelowAlwaysOnWithSlaHeld) {
   EXPECT_EQ(parked.summary.invariant_violations, 0);
 }
 
-TEST(PowerScenario, DomainStatusCarriesLivePowerDraw) {
+TEST(PowerScenario, DomainStatusHidesParkedCapacity) {
   sim::Engine engine;
   federation::Federation fed(engine, federation::make_router("least-loaded"));
   auto& d0 = fed.add_domain("d0", std::make_unique<core::UtilityDrivenPolicy>(
@@ -490,18 +489,11 @@ TEST(PowerScenario, DomainStatusCarriesLivePowerDraw) {
                                       std::make_shared<utility::TxUtilityModel>()));
   d0.world().cluster().add_nodes(2, cluster::Resources{12000_mhz, 4096_mb});
 
-  power::PowerManager mgr(engine, d0.world(), power::PowerModel::ladder(150.0, 1),
-                          power::make_consolidation_policy("none"));
-  // Without a probe the field is zero; with one it reports the meter.
-  EXPECT_DOUBLE_EQ(fed.status(0_s)[0].power_draw_w, 0.0);
-  fed.set_power_probe([&mgr](std::size_t) { return mgr.current_draw_w(); });
-  EXPECT_DOUBLE_EQ(fed.status(0_s)[0].power_draw_w, 300.0);
-
   // Parked capacity is invisible to routers: capacity stays raw, but
   // effective drops to the placeable share so a consolidated domain does
   // not masquerade as headroom.
   EXPECT_DOUBLE_EQ(fed.status(0_s)[0].effective.get(), 24000.0);
-  d0.world().cluster().node(util::NodeId{1}).set_power_state(PowerState::kParked);
+  d0.world().cluster().set_power_state(util::NodeId{1}, PowerState::kParked);
   EXPECT_DOUBLE_EQ(fed.status(0_s)[0].capacity.get(), 24000.0);
   EXPECT_DOUBLE_EQ(fed.status(0_s)[0].effective.get(), 12000.0);
 }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 using namespace heteroplace;
 using namespace heteroplace::util::literals;
@@ -208,6 +210,119 @@ TEST(DemandTrace, ScaledMultipliesEveryRate) {
   // Factor 0 drains the trace without dropping breakpoints.
   EXPECT_DOUBLE_EQ(t.scaled(0.0).rate_at(100_s), 0.0);
   EXPECT_THROW((void)t.scaled(-0.1), std::invalid_argument);
+}
+
+// --- DemandTrace::window_at ------------------------------------------------------------
+//
+// window_at(t) = {rate, lo, hi}: rate == rate_at(t), lo <= t <= hi, and
+// the rate holds on the whole open interval (lo, hi). Callers cache a
+// rate until the query time leaves (lo, hi), so a window that is one
+// ulp too wide is a stale read.
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double up(double x) { return std::nextafter(x, kInf); }
+double down(double x) { return std::nextafter(x, -kInf); }
+
+/// The contract at `t`, probed at both ends of (lo, hi) and inside it.
+void expect_window_contract(const workload::DemandTrace& trace, double t) {
+  const workload::DemandTrace::RateWindow w = trace.window_at(util::Seconds{t});
+  EXPECT_EQ(w.rate, trace.rate_at(util::Seconds{t})) << "t=" << t;
+  EXPECT_LE(w.lo, t);
+  EXPECT_GE(w.hi, t);
+  std::vector<double> probes;
+  if (w.lo > -kInf) probes.push_back(up(w.lo));
+  if (w.hi < kInf) probes.push_back(down(w.hi));
+  if (w.lo > -kInf && w.hi < kInf) probes.push_back(w.lo + (w.hi - w.lo) / 2.0);
+  for (double p : probes) {
+    if (p <= w.lo || p >= w.hi) continue;  // empty open interval
+    EXPECT_EQ(trace.rate_at(util::Seconds{p}), w.rate) << "t=" << t << " probe=" << p;
+  }
+}
+
+}  // namespace
+
+TEST(DemandTraceWindow, EmptyTraceIsZeroEverywhere) {
+  const workload::DemandTrace t;
+  const auto w = t.window_at(42_s);
+  EXPECT_EQ(w.rate, 0.0);
+  EXPECT_EQ(w.lo, -kInf);
+  EXPECT_EQ(w.hi, kInf);
+}
+
+TEST(DemandTraceWindow, BeforeTheFirstBreakpoint) {
+  workload::DemandTrace t;
+  t.add(10_s, 3.0);
+  t.add(20_s, 5.0);
+  const auto w = t.window_at(4_s);
+  EXPECT_EQ(w.rate, 3.0);
+  EXPECT_EQ(w.lo, -kInf);
+  EXPECT_EQ(w.hi, 10.0);
+  expect_window_contract(t, 4.0);
+  expect_window_contract(t, down(10.0));
+}
+
+TEST(DemandTraceWindow, ExactlyOnABreakpoint) {
+  workload::DemandTrace t;
+  t.add(0_s, 1.0);
+  t.add(10_s, 2.0);
+  t.add(20_s, 3.0);
+  const auto on = t.window_at(10_s);
+  EXPECT_EQ(on.rate, 2.0);
+  EXPECT_EQ(on.lo, 10.0);
+  EXPECT_EQ(on.hi, 20.0);
+  // Just before it the previous step holds, and its window ends there.
+  const auto below = t.window_at(util::Seconds{down(10.0)});
+  EXPECT_EQ(below.rate, 1.0);
+  EXPECT_EQ(below.hi, 10.0);
+  // Past the last breakpoint the window is unbounded above.
+  const auto last = t.window_at(20_s);
+  EXPECT_EQ(last.rate, 3.0);
+  EXPECT_EQ(last.lo, 20.0);
+  EXPECT_EQ(last.hi, kInf);
+  for (double x : {0.0, up(0.0), 5.0, down(10.0), 10.0, up(10.0), 20.0, 1e9}) {
+    expect_window_contract(t, x);
+  }
+}
+
+TEST(DemandTraceWindow, DuplicateBreakpointsAtTheFront) {
+  // rate_at returns front().rate exactly at front().from, and the last
+  // duplicate's rate just after it; the window must not span both.
+  workload::DemandTrace t;
+  t.add(5_s, 1.0);
+  t.add(5_s, 7.0);
+  t.add(15_s, 2.0);
+  const auto at = t.window_at(5_s);
+  EXPECT_EQ(at.rate, 1.0);
+  EXPECT_EQ(at.lo, -kInf);
+  EXPECT_EQ(at.hi, 5.0);
+  const auto just_after = t.window_at(util::Seconds{up(5.0)});
+  EXPECT_EQ(just_after.rate, 7.0);
+  EXPECT_EQ(just_after.lo, 5.0);
+  EXPECT_EQ(just_after.hi, 15.0);
+  EXPECT_EQ(t.rate_at(util::Seconds{up(5.0)}), 7.0);
+  for (double x : {0.0, down(5.0), 5.0, up(5.0), 10.0, 15.0}) expect_window_contract(t, x);
+}
+
+TEST(DemandTraceWindow, ScaledViewsScaleTheRateNotTheWindow) {
+  workload::DemandTrace t;
+  t.add(0_s, 10.1);
+  t.add(100_s, 20.3);
+  t.add(200_s, 5.7);
+  const auto third = t.scaled(1.0 / 3.0);
+  const auto twice = third.scaled(0.7);  // folds the first factor first
+  for (double x : {0.0, 50.0, 100.0, up(100.0), 150.0, 200.0, 1e6}) {
+    const auto base = t.window_at(util::Seconds{x});
+    for (const workload::DemandTrace* view : {&third, &twice}) {
+      const auto w = view->window_at(util::Seconds{x});
+      EXPECT_EQ(w.lo, base.lo) << x;
+      EXPECT_EQ(w.hi, base.hi) << x;
+      expect_window_contract(*view, x);
+    }
+    EXPECT_EQ(third.window_at(util::Seconds{x}).rate, base.rate * (1.0 / 3.0)) << x;
+  }
 }
 
 // --- TxApp ---------------------------------------------------------------------------
