@@ -9,7 +9,7 @@
 // distinct shards — exactly the batch the parallel engine dispatches to
 // its worker pool. Executor passes and power ticks batch the same way.
 //
-// The sweep runs the identical scenario at engine.threads ∈ {1, 2, 4, 8}
+// The sweep runs the identical scenario at engine.threads ∈ {1, 2, 4}
 // and asserts the full-result digest (scenario/result_digest: every
 // series point + summary counter, folded bit-exactly) is identical
 // across all thread counts. A digest mismatch is a hard failure — this
@@ -21,6 +21,8 @@
 //    thread-scaling effects being measured.
 //  - OpenMP inside the solver is pinned to one thread so the sweep
 //    isolates engine-thread scaling from intra-solve parallelism.
+//  - Each thread count runs in a forked child, so a case's peak_rss_mb
+//    (the child's ru_maxrss) is that run's own high-water mark.
 //  - hardware_threads is recorded in the JSON: speedups are only
 //    meaningful where threads <= hardware_threads. On a 1-core host the
 //    sweep still validates bit-identity and batch formation, and the
@@ -34,9 +36,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -62,7 +70,7 @@ struct Shape {
   std::vector<int> threads;
 };
 
-Shape full_shape() { return {"full", 100, 50, 1'000'000, 604800.0, {1, 2, 4, 8}}; }
+Shape full_shape() { return {"full", 100, 50, 1'000'000, 604800.0, {1, 2, 4}}; }
 Shape smoke_shape() { return {"smoke", 8, 10, 20'000, 86400.0, {1, 2}}; }
 
 /// Four transactional classes with phase-shifted diurnal demand. Hourly
@@ -159,15 +167,69 @@ scenario::FederatedScenario macro_scenario(const Shape& sh) {
   return fs;
 }
 
+/// Plain data, so a forked child can hand it back through a pipe.
 struct CaseResult {
   int threads{0};
   double wall_s{0.0};
   std::uint64_t digest{0};
   scenario::EngineStats engine;
   long jobs_completed{0};
+  double peak_rss_mb{0.0};
 };
+static_assert(std::is_trivially_copyable_v<CaseResult>);
 
-bool write_json(const std::string& path, const Shape& sh,
+CaseResult run_case(const scenario::FederatedScenario& base, int threads, bool profile) {
+  scenario::FederatedScenario fs = base;
+  fs.engine_threads = threads;
+  // Per-phase wall-clock attribution (obs layer). Digest-excluded, so
+  // the bit-identity sweep still holds with profiling on; the table
+  // answers where the serial spine's time goes at each width.
+  fs.obs.profile = profile;
+  const auto t0 = std::chrono::steady_clock::now();
+  const scenario::FederatedResult res = scenario::run_federated_experiment(fs);
+  const auto t1 = std::chrono::steady_clock::now();
+
+  CaseResult c;
+  c.threads = threads;
+  c.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  c.digest = scenario::digest(res);
+  c.engine = res.engine;
+  c.jobs_completed = res.summary.jobs_completed;
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  c.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+  if (profile) std::printf("%s", obs::format_profile_report(res.profile).c_str());
+  return c;
+}
+
+/// Run one case in a forked child (fresh heap, own peak RSS). The
+/// parent starts no threads, so forking it is safe. nullopt if the
+/// child failed.
+std::optional<CaseResult> run_case_isolated(const scenario::FederatedScenario& base,
+                                            int threads, bool profile) {
+  int fds[2];
+  if (pipe(fds) != 0) return std::nullopt;
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) return std::nullopt;
+  if (pid == 0) {
+    close(fds[0]);
+    const CaseResult c = run_case(base, threads, profile);
+    std::fflush(stdout);
+    const bool sent = write(fds[1], &c, sizeof c) == static_cast<ssize_t>(sizeof c);
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  CaseResult c;
+  const bool got = read(fds[0], &c, sizeof c) == static_cast<ssize_t>(sizeof c);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) return std::nullopt;
+  return c;
+}
+
+bool write_json(const std::string& path, const Shape& sh, bool profile,
                 const std::vector<CaseResult>& cases) {
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
@@ -177,6 +239,7 @@ bool write_json(const std::string& path, const Shape& sh,
   out << "  \"component\": \"parallel_engine\",\n";
   out << "  \"mode\": \"" << sh.mode << "\",\n";
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
+  out << "  \"profile\": " << (profile ? "true" : "false") << ",\n";
   out << "  \"scenario\": {\n";
   out << "    \"domains\": " << sh.domains << ",\n";
   out << "    \"nodes_per_domain\": " << sh.nodes_per_domain << ",\n";
@@ -196,8 +259,12 @@ bool write_json(const std::string& path, const Shape& sh,
   const double base = cases.front().wall_s;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
+    const double per_s = c.wall_s > 0.0 ? 1.0 / c.wall_s : 0.0;
     out << "    {\"threads\": " << c.threads << ", \"wall_s\": " << c.wall_s
-        << ", \"speedup_vs_1\": " << (c.wall_s > 0.0 ? base / c.wall_s : 0.0)
+        << ", \"speedup_vs_1\": " << base * per_s
+        << ", \"events_per_s\": " << static_cast<double>(c.engine.events_executed) * per_s
+        << ", \"sim_s_per_wall_s\": " << sh.horizon_s * per_s
+        << ", \"peak_rss_mb\": " << c.peak_rss_mb
         << ", \"parallel_batches\": " << c.engine.parallel_batches
         << ", \"batched_events\": " << c.engine.batched_events << "}"
         << (i + 1 < cases.size() ? "," : "") << "\n";
@@ -239,32 +306,19 @@ int main(int argc, char** argv) {
 
   std::vector<CaseResult> cases;
   for (int threads : sh.threads) {
-    scenario::FederatedScenario fs = base;
-    fs.engine_threads = threads;
-    // Per-phase wall-clock attribution (obs layer). Digest-excluded, so
-    // the bit-identity sweep below still holds with profiling on; the
-    // table answers where the serial spine's time goes at each width.
-    fs.obs.profile = profile;
-    const auto t0 = std::chrono::steady_clock::now();
-    const scenario::FederatedResult res = scenario::run_federated_experiment(fs);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    CaseResult c;
-    c.threads = threads;
-    c.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    c.digest = scenario::digest(res);
-    c.engine = res.engine;
-    c.jobs_completed = res.summary.jobs_completed;
+    const std::optional<CaseResult> run = run_case_isolated(base, threads, profile);
+    if (!run) {
+      std::fprintf(stderr, "FAIL: the threads=%d run did not finish\n", threads);
+      return 1;
+    }
+    const CaseResult& c = *run;
     std::printf(
         "  threads=%d  wall=%.2fs  events=%llu  batches=%llu (%llu events)  "
-        "completed=%ld  digest=0x%016llx\n",
+        "completed=%ld  peak_rss=%.1fMB  digest=0x%016llx\n",
         c.threads, c.wall_s, static_cast<unsigned long long>(c.engine.events_executed),
         static_cast<unsigned long long>(c.engine.parallel_batches),
         static_cast<unsigned long long>(c.engine.batched_events), c.jobs_completed,
-        static_cast<unsigned long long>(c.digest));
-    if (profile) {
-      std::printf("%s", obs::format_profile_report(res.profile).c_str());
-    }
+        c.peak_rss_mb, static_cast<unsigned long long>(c.digest));
     cases.push_back(c);
 
     if (c.digest != cases.front().digest) {
@@ -294,7 +348,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string path = out_dir + "/BENCH_macro.json";
-  if (!write_json(path, sh, cases)) {
+  if (!write_json(path, sh, profile, cases)) {
     std::fprintf(stderr, "FAIL: could not write %s\n", path.c_str());
     return 1;
   }

@@ -124,20 +124,22 @@ int main(int argc, char** argv) {
   controller.set_observer([&](const core::CycleReport&) {
     ++cycles;
     const cluster::Cluster& cl = world.cluster();
-    for (util::VmId vm_id : cl.vm_ids()) {
-      const cluster::Vm& vm = cl.vm(vm_id);
-      if (!vm.placed()) continue;
-      const cluster::MachineClass& host = registry.at(cl.node(vm.node).klass());
-      const cluster::ConstraintSet& c = vm.kind == cluster::VmKind::kJobContainer
-                                            ? world.job(vm.job).spec().constraint
-                                            : world.app(vm.app).spec().constraint;
-      if (!c.admits(host)) {
-        ++violations;
-        std::cerr << "violation: " << to_string(vm.kind) << " on class " << host.name << "\n";
-      }
-      if (vm.kind == cluster::VmKind::kJobContainer &&
-          !world.job(vm.job).spec().constraint.accel.empty() && host.has_accel("gpu")) {
-        ++gpu_jobs_seen_on_gpu;
+    // Placed VMs are exactly the nodes' residents.
+    for (const cluster::Node& n : cl.nodes()) {
+      const cluster::MachineClass& host = registry.at(n.klass());
+      for (const auto& [vm_id, _] : n.residents()) {
+        const cluster::Vm& vm = cl.vm(vm_id);
+        const cluster::ConstraintSet& c = vm.kind == cluster::VmKind::kJobContainer
+                                              ? world.job(vm.job).spec().constraint
+                                              : world.app(vm.app).spec().constraint;
+        if (!c.admits(host)) {
+          ++violations;
+          std::cerr << "violation: " << to_string(vm.kind) << " on class " << host.name << "\n";
+        }
+        if (vm.kind == cluster::VmKind::kJobContainer &&
+            !world.job(vm.job).spec().constraint.accel.empty() && host.has_accel("gpu")) {
+          ++gpu_jobs_seen_on_gpu;
+        }
       }
     }
   });

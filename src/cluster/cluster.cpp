@@ -1,5 +1,6 @@
 #include "cluster/cluster.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -73,12 +74,6 @@ void Cluster::set_speed_factor(util::NodeId id, double f) {
   placeable_dirty_ = true;
 }
 
-Resources Cluster::total_used() const {
-  Resources total{};
-  for (const auto& n : nodes_) total += n.used();
-  return total;
-}
-
 util::VmId Cluster::create_job_vm(util::JobId job, util::MemMb memory) {
   const util::VmId id{next_vm_++};
   Vm vm;
@@ -100,6 +95,7 @@ util::VmId Cluster::create_web_vm(util::AppId app, util::MemMb memory) {
   vm.app = app;
   vms_.emplace(id, vm);
   vm_order_.push_back(id);
+  live_web_.push_back(id);
   return id;
 }
 
@@ -114,8 +110,6 @@ Vm& Cluster::vm_mut(util::VmId id) {
   if (it == vms_.end()) throw std::out_of_range("Cluster::vm: unknown vm id");
   return it->second;
 }
-
-std::vector<util::VmId> Cluster::vm_ids() const { return vm_order_; }
 
 bool Cluster::place_vm(util::VmId id, util::NodeId node_id) {
   Vm& v = vm_mut(id);
@@ -144,6 +138,11 @@ void Cluster::set_vm_state(util::VmId id, VmState state) {
     throw std::logic_error(os.str());
   }
   v.state = state;
+  if (state == VmState::kStopped && v.kind == VmKind::kWebInstance) {
+    // Ids ascend with creation, so the index is sorted: binary search.
+    auto it = std::lower_bound(live_web_.begin(), live_web_.end(), id);
+    if (it != live_web_.end() && *it == id) live_web_.erase(it);
+  }
 }
 
 bool Cluster::set_cpu_share(util::VmId id, util::CpuMhz cpu) {
@@ -157,7 +156,8 @@ bool Cluster::set_cpu_share(util::VmId id, util::CpuMhz cpu) {
 
 util::CpuMhz Cluster::allocated_cpu(VmKind kind) const {
   util::CpuMhz total{0.0};
-  for (const auto& [_, v] : vms_) {
+  for (util::VmId id : vm_order_) {
+    const Vm& v = vms_.at(id);
     if (v.kind == kind) total += v.cpu_share;
   }
   return total;

@@ -13,6 +13,12 @@
 // (total_capacity, placeable_capacity, placeable_capacity_by_class)
 // current by construction, so the federation's per-arrival status
 // snapshot reads them in O(1) instead of rescanning every node.
+//
+// Cost model for VMs: every VM ever created stays in vms_ (stopped ones
+// included), so whole-registry scans grow with the run. The per-cycle
+// readers (executor, problem build, sampler) use web_instances()
+// instead: the web-instance VMs that are not stopped, kept current by
+// create_web_vm and set_vm_state, so they cost O(live web instances).
 
 #include <optional>
 #include <string>
@@ -75,7 +81,6 @@ class Cluster {
   /// Raw capacity of every node, parked or not. O(1): a running sum kept
   /// by add_node, folded in node order like a fresh loop would be.
   [[nodiscard]] Resources total_capacity() const { return total_capacity_; }
-  [[nodiscard]] Resources total_used() const;
 
   /// Capacity placement may use right now: active nodes only, CPU scaled
   /// by each node's P-state. With every node active at full speed this is
@@ -95,7 +100,11 @@ class Cluster {
 
   [[nodiscard]] const Vm& vm(util::VmId id) const;
   [[nodiscard]] bool vm_exists(util::VmId id) const { return vms_.count(id) > 0; }
-  [[nodiscard]] std::vector<util::VmId> vm_ids() const;
+
+  /// Web-instance VMs not (yet) stopped, in creation order: the
+  /// subsequence of all VMs that a filter on kind == kWebInstance and
+  /// state != kStopped would yield, without visiting the others.
+  [[nodiscard]] const std::vector<util::VmId>& web_instances() const { return live_web_; }
 
   /// Reserve the VM's memory on `node` (CPU share starts at 0) and record
   /// the VM as hosted there. Fails if the VM is already placed or memory
@@ -113,7 +122,8 @@ class Cluster {
 
   // --- aggregate queries ---------------------------------------------------
 
-  /// Total CPU currently granted to VMs of the given kind.
+  /// Total CPU currently granted to VMs of the given kind, summed in VM
+  /// creation order.
   [[nodiscard]] util::CpuMhz allocated_cpu(VmKind kind) const;
 
   /// VMs of a kind in a given state (deterministic id order).
@@ -147,6 +157,7 @@ class Cluster {
   MachineClassRegistry classes_;
   std::unordered_map<util::VmId, Vm> vms_;
   std::vector<util::VmId> vm_order_;  // insertion order for deterministic iteration
+  std::vector<util::VmId> live_web_;  // non-stopped web instances; ids ascend with creation
   util::VmId::underlying_type next_vm_{0};
 };
 

@@ -15,7 +15,6 @@ namespace heteroplace::core {
 
 namespace {
 using cluster::ActionType;
-using cluster::VmKind;
 using cluster::VmState;
 using workload::JobPhase;
 
@@ -73,9 +72,7 @@ void ActionExecutor::schedule_completion(workload::Job& job) {
 }
 
 void ActionExecutor::on_job_finished(util::JobId job_id) {
-  workload::Job& job = world_.job(job_id);
-  job.set_phase(engine_.now(), JobPhase::kCompleted);
-  job.mark_completed(engine_.now());
+  workload::Job& job = world_.complete_job(job_id, engine_.now());
   if (job.vm().valid()) {
     world_.cluster().set_vm_state(job.vm(), VmState::kStopped);
     world_.cluster().unplace_vm(job.vm());
@@ -284,17 +281,20 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
 
   // Index existing web instances.
   std::map<std::pair<util::AppId, util::NodeId>, util::VmId> existing_insts;
-  for (util::VmId vm_id : cl.vm_ids()) {
+  for (util::VmId vm_id : cl.web_instances()) {
     const auto& vm = cl.vm(vm_id);
-    if (vm.kind != VmKind::kWebInstance) continue;
     if (vm.state == VmState::kRunning || vm.state == VmState::kStarting) {
       existing_insts.emplace(std::make_pair(vm.app, vm.node), vm_id);
     }
   }
 
+  // One snapshot serves every pass: jobs complete, hand off or change
+  // hold only in later events, never inside apply.
+  const std::vector<workload::Job*> jobs = world_.active_jobs();
+
   // ---- Pass 1: suspends and instance stops --------------------------------
   if (tr != nullptr) tr->begin(obs_.pid, obs::Lane::kExecutor, "pass1_release", now.get());
-  for (workload::Job* job : world_.active_jobs()) {
+  for (workload::Job* job : jobs) {
     if (job->phase() == JobPhase::kRunning && desired_jobs.count(job->id()) == 0) {
       suspend_job(*job);
     }
@@ -328,7 +328,7 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   std::vector<Resize> shrinks;
   std::vector<Resize> grows;
 
-  for (workload::Job* job : world_.active_jobs()) {
+  for (workload::Job* job : jobs) {
     auto it = desired_jobs.find(job->id());
     if (it == desired_jobs.end()) continue;
     const auto& want = it->second;
@@ -396,7 +396,7 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   // to release, so iterate until no further move succeeds, then suspend
   // the rest (the next cycle resumes them wherever there is room).
   std::vector<util::JobId> moves;
-  for (workload::Job* job : world_.active_jobs()) {
+  for (workload::Job* job : jobs) {
     auto it = desired_jobs.find(job->id());
     if (it == desired_jobs.end()) continue;
     if (job->phase() == JobPhase::kRunning && job->node() != it->second.node) {
@@ -425,7 +425,7 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   }
 
   // ---- Pass 4: starts and resumes -------------------------------------------
-  for (workload::Job* job : world_.active_jobs()) {
+  for (workload::Job* job : jobs) {
     auto it = desired_jobs.find(job->id());
     if (it == desired_jobs.end()) continue;
     if (job->phase() == JobPhase::kPending) {

@@ -58,9 +58,9 @@ PlacementProblem build_problem_skeleton(const World& world) {
     sa.max_instances = app.spec().max_instances;
     sa.max_cpu_per_instance = app.spec().max_cpu_per_instance;
     sa.constraint = app.spec().constraint;
-    for (util::VmId vm_id : cl.vm_ids()) {
+    for (util::VmId vm_id : cl.web_instances()) {
       const auto& vm = cl.vm(vm_id);
-      if (vm.kind != cluster::VmKind::kWebInstance || vm.app != app.id()) continue;
+      if (vm.app != app.id()) continue;
       if (vm.state == cluster::VmState::kRunning) {
         sa.current.push_back({vm.node, /*movable=*/true});
       } else if (vm.state == cluster::VmState::kStarting) {

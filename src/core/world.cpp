@@ -1,6 +1,7 @@
 #include "core/world.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace heteroplace::core {
 
@@ -25,35 +26,76 @@ workload::TxApp& World::app_mut(util::AppId id) {
   return apps_[it->second];
 }
 
-workload::Job& World::submit_job(workload::JobSpec spec) {
-  const util::JobId id = spec.id;
-  if (jobs_.count(id) > 0) throw std::invalid_argument("World::submit_job: duplicate job id");
-  auto [it, _] = jobs_.emplace(id, workload::Job{std::move(spec)});
+workload::Job& World::insert(workload::Job job, const char* who) {
+  const util::JobId id = job.id();
+  auto [it, fresh] = jobs_.try_emplace(id, Entry{std::move(job), kNotLive});
+  if (!fresh) throw std::invalid_argument(std::string(who) + ": duplicate job id");
   job_order_.push_back(id);
-  return it->second;
+  Entry& e = it->second;
+  if (e.job.phase() == workload::JobPhase::kCompleted) {
+    ++completed_;
+  } else {
+    e.slot = live_.size();
+    live_.push_back(&e);
+  }
+  return e.job;
+}
+
+workload::Job& World::submit_job(workload::JobSpec spec) {
+  return insert(workload::Job{std::move(spec)}, "World::submit_job");
 }
 
 workload::Job& World::adopt_job(workload::Job job) {
-  const util::JobId id = job.id();
-  if (jobs_.count(id) > 0) throw std::invalid_argument("World::adopt_job: duplicate job id");
-  auto [it, _] = jobs_.emplace(id, std::move(job));
-  job_order_.push_back(id);
-  return it->second;
+  return insert(std::move(job), "World::adopt_job");
+}
+
+void World::retire(Entry& e) {
+  live_[e.slot] = nullptr;
+  e.slot = kNotLive;
+  ++tombstones_;
+  if (2 * tombstones_ <= live_.size()) return;
+  // Tombstones outnumber live slots: squeeze them out in order. Each
+  // compaction is paid for by the retirements since the last one.
+  std::size_t n = 0;
+  for (Entry* p : live_) {
+    if (p == nullptr) continue;
+    p->slot = n;
+    live_[n++] = p;
+  }
+  live_.resize(n);
+  tombstones_ = 0;
 }
 
 workload::Job World::extract_job(util::JobId id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("World::extract_job: unknown job id");
-  workload::Job out = std::move(it->second);
+  if (it->second.slot == kNotLive) {
+    --completed_;
+  } else {
+    retire(it->second);
+  }
+  workload::Job out = std::move(it->second.job);
   jobs_.erase(it);
   job_order_.erase(std::remove(job_order_.begin(), job_order_.end(), id), job_order_.end());
   return out;
 }
 
+workload::Job& World::complete_job(util::JobId id, util::Seconds now) {
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) throw std::out_of_range("World::complete_job: unknown job id");
+  Entry& e = it->second;
+  if (e.slot == kNotLive) throw std::logic_error("World::complete_job: job already completed");
+  e.job.set_phase(now, workload::JobPhase::kCompleted);
+  e.job.mark_completed(now);
+  retire(e);
+  ++completed_;
+  return e.job;
+}
+
 workload::Job& World::job(util::JobId id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("World::job: unknown job id");
-  return it->second;
+  return it->second.job;
 }
 
 const workload::Job& World::job(util::JobId id) const {
@@ -62,28 +104,20 @@ const workload::Job& World::job(util::JobId id) const {
 
 std::vector<workload::Job*> World::active_jobs() {
   std::vector<workload::Job*> out;
-  for (util::JobId id : job_order_) {
-    workload::Job& j = jobs_.at(id);
-    if (j.phase() != workload::JobPhase::kCompleted && !j.held()) out.push_back(&j);
+  out.reserve(live_.size() - tombstones_);
+  for (Entry* e : live_) {
+    if (e != nullptr && !e->job.held()) out.push_back(&e->job);
   }
   return out;
 }
 
 std::vector<const workload::Job*> World::active_jobs() const {
   std::vector<const workload::Job*> out;
-  for (util::JobId id : job_order_) {
-    const workload::Job& j = jobs_.at(id);
-    if (j.phase() != workload::JobPhase::kCompleted && !j.held()) out.push_back(&j);
+  out.reserve(live_.size() - tombstones_);
+  for (const Entry* e : live_) {
+    if (e != nullptr && !e->job.held()) out.push_back(&e->job);
   }
   return out;
-}
-
-std::size_t World::completed_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, j] : jobs_) {
-    if (j.phase() == workload::JobPhase::kCompleted) ++n;
-  }
-  return n;
 }
 
 }  // namespace heteroplace::core

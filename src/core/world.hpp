@@ -3,6 +3,21 @@
 // World: the complete managed-system state — cluster, transactional apps,
 // and the job population — shared by the controller, the executor, and
 // the experiment driver.
+//
+// Cost model. Every completed job stays in the registry (job(),
+// job_order() and submitted_count() cover the whole run), but the
+// per-cycle readers scale with the live population only:
+//   - active_jobs() walks a live list of submitted, not-completed jobs
+//     in submission order: O(live) slots, no map lookup per job;
+//   - completed_count() is a counter, O(1).
+// That holds because a job reaches kCompleted only through
+// complete_job(), which retires it from the live list (a tombstone,
+// compacted on this write path once tombstones outnumber live slots, so
+// the list never exceeds about twice the live count). Setting kCompleted
+// on a Job directly bypasses the bookkeeping: don't. Held jobs stay in the
+// list, filtered at read, so an un-held job is back at its original
+// position. Const readers never mutate: the spine reads worlds
+// (completed_count, the sampler) while shards are quiescent.
 
 #include <cstdint>
 #include <map>
@@ -20,6 +35,12 @@ namespace heteroplace::core {
 class World {
  public:
   World() = default;
+  // live_ points into jobs_: a copy would alias the source's entries.
+  // Moves keep std::map nodes in place, so they are safe.
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+  World(World&&) = default;
+  World& operator=(World&&) = default;
 
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] const cluster::Cluster& cluster() const { return cluster_; }
@@ -51,6 +72,11 @@ class World {
   /// for retiring the job's VM and executor bookkeeping first.
   [[nodiscard]] workload::Job extract_job(util::JobId id);
 
+  /// The only way a job reaches kCompleted: sets the phase, stamps the
+  /// completion time and retires the job from the live list, amortised
+  /// O(1). Throws std::logic_error if the job already completed.
+  workload::Job& complete_job(util::JobId id, util::Seconds now);
+
   [[nodiscard]] bool job_exists(util::JobId id) const { return jobs_.count(id) > 0; }
   [[nodiscard]] workload::Job& job(util::JobId id);
   [[nodiscard]] const workload::Job& job(util::JobId id) const;
@@ -61,19 +87,40 @@ class World {
   /// Jobs that are submitted and not yet completed, in submission order.
   /// Held jobs (mid-migration, see workload::Job::held) are excluded so
   /// every policy, executor pass and sampler treats them as already gone.
+  /// O(live_slot_count()).
   [[nodiscard]] std::vector<workload::Job*> active_jobs();
   [[nodiscard]] std::vector<const workload::Job*> active_jobs() const;
 
   [[nodiscard]] std::size_t submitted_count() const { return jobs_.size(); }
-  [[nodiscard]] std::size_t completed_count() const;
+  [[nodiscard]] std::size_t completed_count() const { return completed_; }
+
+  /// Slots active_jobs() visits: live jobs (held ones included) plus
+  /// not-yet-compacted tombstones. Stays below about twice the live count
+  /// however many jobs have completed.
+  [[nodiscard]] std::size_t live_slot_count() const { return live_.size(); }
 
  private:
+  /// A registry entry: the job and its slot in live_ (kNotLive once the
+  /// job completed). std::map nodes never move, so live_ can point at them.
+  struct Entry {
+    workload::Job job;
+    std::size_t slot;
+  };
+  static constexpr std::size_t kNotLive = static_cast<std::size_t>(-1);
+
+  workload::Job& insert(workload::Job job, const char* who);
+  /// Tombstone a live entry's slot; compacts when tombstones dominate.
+  void retire(Entry& e);
+
   cluster::Cluster cluster_;
   std::vector<workload::TxApp> apps_;
   std::map<util::AppId, std::size_t> app_index_;  // id → position in apps_
   std::uint64_t apps_epoch_{0};
-  std::map<util::JobId, workload::Job> jobs_;
+  std::map<util::JobId, Entry> jobs_;
   std::vector<util::JobId> job_order_;
+  std::vector<Entry*> live_;  // not-completed jobs in submission order; nullptr = tombstone
+  std::size_t tombstones_{0};
+  std::size_t completed_{0};
 };
 
 }  // namespace heteroplace::core

@@ -14,10 +14,9 @@ AllocationSample sample_allocations(const core::World& world) {
   out.tx_alloc_per_app.reserve(world.apps().size());
   for (const auto& app : world.apps()) {
     double alloc = 0.0;
-    for (util::VmId vm_id : cl.vm_ids()) {
+    for (util::VmId vm_id : cl.web_instances()) {
       const auto& vm = cl.vm(vm_id);
-      if (vm.kind == cluster::VmKind::kWebInstance && vm.app == app.id() &&
-          vm.state == cluster::VmState::kRunning) {
+      if (vm.app == app.id() && vm.state == cluster::VmState::kRunning) {
         alloc += vm.cpu_share.get();
       }
     }

@@ -45,7 +45,7 @@ enum class JobPhase {
   kSuspended,  // on disk
   kResuming,   // resume in progress (no progress)
   kMigrating,  // migration in progress (no progress)
-  kCompleted,  // all work done
+  kCompleted,  // all work done; set only by World::complete_job
 };
 
 [[nodiscard]] const char* to_string(JobPhase p);
@@ -145,7 +145,7 @@ class Job {
   void restore_accounting(const std::array<double, kJobPhaseCount>& phase_s,
                           util::MhzSeconds gross, double hold_s);
 
-  /// Set on completion by the experiment driver.
+  /// Set on completion by World::complete_job.
   void mark_completed(util::Seconds t) { completion_time_ = t; }
   [[nodiscard]] util::Seconds completion_time() const { return completion_time_; }
 

@@ -281,6 +281,100 @@ TEST_P(ClusterFuzz, RandomOpsPreserveInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterFuzz, ::testing::Values(3u, 17u, 2024u));
 
+// --- web-instance index == reference filter over every VM --------------------
+//
+// web_instances() replaces a scan of every VM ever created filtered on
+// kind == kWebInstance && state != kStopped. The test keeps its own
+// creation-order list of all VM ids (the order the cluster assigns them)
+// and checks the index against that filter after every step of a seeded
+// mix of instance start / stop / fault-stop interleaved with job VMs.
+
+namespace {
+
+void expect_web_index_matches_reference(const Cluster& c, const std::vector<util::VmId>& created,
+                                        const std::string& step) {
+  std::vector<util::VmId> want;
+  for (util::VmId id : created) {
+    const auto& v = c.vm(id);
+    if (v.kind == VmKind::kWebInstance && v.state != VmState::kStopped) want.push_back(id);
+  }
+  ASSERT_EQ(c.web_instances(), want) << step;
+}
+
+}  // namespace
+
+class WebIndexFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WebIndexFuzz, WebInstancesMatchFilteredVmScan) {
+  util::Rng rng(GetParam());
+  Cluster c;
+  c.add_nodes(6, res(12000, 4096));
+  std::vector<util::VmId> created;
+  auto random_node = [&] { return util::NodeId{static_cast<unsigned>(rng.uniform_int(0, 5))}; };
+  auto random_vm = [&] { return created[rng.uniform_int(0, created.size() - 1)]; };
+  for (int step = 0; step < 2000; ++step) {
+    const std::uint64_t op = rng.uniform_int(0, 9);
+    const std::string label = "step " + std::to_string(step) + " op " + std::to_string(op);
+    if (created.empty() || op <= 2) {
+      // Instance start (executor pass 4): a failed placement stops the
+      // fresh VM straight from kPending.
+      const auto id = c.create_web_vm(util::AppId{static_cast<unsigned>(rng.uniform_int(0, 2))},
+                                      1024_mb);
+      created.push_back(id);
+      if (c.place_vm(id, random_node())) {
+        c.set_vm_state(id, VmState::kStarting);
+      } else {
+        c.set_vm_state(id, VmState::kStopped);
+      }
+    } else if (op == 3) {
+      const auto id = c.create_job_vm(util::JobId{static_cast<unsigned>(step)}, 512_mb);
+      created.push_back(id);
+      if (c.place_vm(id, random_node())) c.set_vm_state(id, VmState::kStarting);
+    } else if (op <= 5) {
+      // Boot completes.
+      const auto id = random_vm();
+      if (c.vm(id).state == VmState::kStarting) c.set_vm_state(id, VmState::kRunning);
+    } else {
+      // Planned stop (pass 1, running or starting) or fault-stop (a
+      // crashed node tears down whatever it hosts, any live state).
+      const auto id = random_vm();
+      const auto& v = c.vm(id);
+      if (v.state == VmState::kStopped) continue;
+      const bool planned = op <= 7;
+      if (planned && v.state != VmState::kRunning && v.state != VmState::kStarting) continue;
+      c.set_vm_state(id, VmState::kStopped);
+      c.unplace_vm(id);
+    }
+    expect_web_index_matches_reference(c, created, label);
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_TRUE(c.validate().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WebIndexFuzz, ::testing::Values(11u, 404u, 20080625u));
+
+TEST(ClusterState, AllocatedCpuFoldsInCreationOrder) {
+  // Shares whose float sum depends on the order of addition: in creation
+  // order each 1.0 is absorbed by 1e16 (half an ulp, ties to even); summed
+  // small-first they survive. The fold must follow creation order,
+  // whatever order the VM hash map iterates in.
+  Cluster c;
+  const std::vector<double> shares{1e16, 1.0, 1.0, 1.0, 1.0};
+  double want = 0.0;
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    const auto n = c.add_node(res(2e16, 4096));
+    const auto id = c.create_web_vm(util::AppId{0}, 64_mb);
+    ASSERT_TRUE(c.place_vm(id, n));
+    c.set_vm_state(id, VmState::kStarting);
+    c.set_vm_state(id, VmState::kRunning);
+    ASSERT_TRUE(c.set_cpu_share(id, util::CpuMhz{shares[i]}));
+    want += shares[i];
+  }
+  ASSERT_EQ(want, 1e16);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(c.allocated_cpu(VmKind::kWebInstance).get()),
+            std::bit_cast<std::uint64_t>(want));
+}
+
 // --- cached capacity aggregates ----------------------------------------------
 //
 // total_capacity, placeable_capacity and placeable_capacity_by_class are

@@ -180,11 +180,13 @@ TEST(MachineClassSolverFuzz, NoCycleEverPlacesAVmOnAnInadmissibleNode) {
     long violations = 0;
     controller.set_observer([&](const core::CycleReport&) {
       const cluster::Cluster& cl = world.cluster();
-      for (util::VmId vm_id : cl.vm_ids()) {
-        const cluster::Vm& vm = cl.vm(vm_id);
-        if (!vm.placed() || vm.kind != cluster::VmKind::kJobContainer) continue;
-        const cluster::MachineClass& host = registry.at(cl.node(vm.node).klass());
-        if (!world.job(vm.job).spec().constraint.admits(host)) ++violations;
+      for (const cluster::Node& n : cl.nodes()) {
+        const cluster::MachineClass& host = registry.at(n.klass());
+        for (const auto& [vm_id, _] : n.residents()) {
+          const cluster::Vm& vm = cl.vm(vm_id);
+          if (vm.kind != cluster::VmKind::kJobContainer) continue;
+          if (!world.job(vm.job).spec().constraint.admits(host)) ++violations;
+        }
       }
     });
 

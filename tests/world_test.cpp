@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cluster/actions.hpp"
 #include "cluster/placement.hpp"
+#include "util/rng.hpp"
 
 using namespace heteroplace;
 using namespace heteroplace::util::literals;
@@ -47,7 +55,8 @@ TEST(World, ActiveJobsExcludeCompleted) {
   w.submit_job(spec(1));
   auto& j2 = w.submit_job(spec(2));
   EXPECT_EQ(w.active_jobs().size(), 2u);
-  j2.set_phase(0_s, JobPhase::kCompleted);
+  w.complete_job(j2.id(), 0_s);
+  EXPECT_EQ(j2.phase(), JobPhase::kCompleted);
   EXPECT_EQ(w.active_jobs().size(), 1u);
   EXPECT_EQ(w.completed_count(), 1u);
   EXPECT_EQ(w.submitted_count(), 2u);
@@ -63,6 +72,132 @@ TEST(World, ActiveJobsPreserveSubmissionOrder) {
   EXPECT_EQ(active[0]->id().get(), 9u);
   EXPECT_EQ(active[1]->id().get(), 2u);
   EXPECT_EQ(active[2]->id().get(), 5u);
+}
+
+TEST(World, CompleteJobRetiresOnceAndStampsTime) {
+  World w;
+  w.submit_job(spec(1));
+  const auto& j = w.complete_job(util::JobId{1}, 42_s);
+  EXPECT_EQ(j.phase(), JobPhase::kCompleted);
+  EXPECT_DOUBLE_EQ(j.completion_time().get(), 42.0);
+  EXPECT_TRUE(w.active_jobs().empty());
+  EXPECT_EQ(w.completed_count(), 1u);
+  EXPECT_THROW(w.complete_job(util::JobId{1}, 43_s), std::logic_error);
+  EXPECT_THROW(w.complete_job(util::JobId{2}, 43_s), std::out_of_range);
+}
+
+TEST(World, UnheldJobReturnsToItsSubmissionPosition) {
+  World w;
+  for (unsigned id : {4u, 8u, 6u}) w.submit_job(spec(id));
+  w.job(util::JobId{4}).set_held(true);
+  w.submit_job(spec(1));
+  ASSERT_EQ(w.active_jobs().size(), 3u);
+  EXPECT_EQ(w.active_jobs()[0]->id().get(), 8u);
+  w.job(util::JobId{4}).set_held(false);
+  const auto active = w.active_jobs();
+  ASSERT_EQ(active.size(), 4u);
+  EXPECT_EQ(active[0]->id().get(), 4u);
+  EXPECT_EQ(active[3]->id().get(), 1u);
+}
+
+// --- live list == reference filter over job_order() -------------------------
+//
+// active_jobs() walks a live list instead of filtering job_order(), and
+// completed_count() is a counter. These checks pin both, element by
+// element, against the definitions they replace, after every step of a
+// seeded random mix of submit / adopt / extract / hold / un-hold /
+// complete.
+
+namespace {
+
+void expect_live_matches_reference(World& w, const std::string& step) {
+  std::vector<const workload::Job*> want;
+  std::size_t completed = 0;
+  for (util::JobId id : w.job_order()) {
+    const workload::Job& j = w.job(id);
+    if (j.phase() == JobPhase::kCompleted) ++completed;
+    if (j.phase() != JobPhase::kCompleted && !j.held()) want.push_back(&j);
+  }
+  const auto got = w.active_jobs();
+  const auto got_const = std::as_const(w).active_jobs();
+  ASSERT_EQ(got.size(), want.size()) << step;
+  ASSERT_EQ(got_const.size(), want.size()) << step;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << step << ": position " << i;
+    ASSERT_EQ(got_const[i], want[i]) << step << ": position " << i;
+  }
+  ASSERT_EQ(w.completed_count(), completed) << step;
+  ASSERT_EQ(w.submitted_count(), w.job_order().size()) << step;
+}
+
+}  // namespace
+
+class WorldLiveFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WorldLiveFuzz, ActiveJobsMatchFilteredJobOrder) {
+  util::Rng rng(GetParam());
+  World w;
+  unsigned next_id = 0;
+  std::vector<workload::Job> outside;  // extracted, waiting to be adopted back
+  auto pick = [&]() -> util::JobId {
+    const auto& order = w.job_order();
+    return order[rng.uniform_int(0, order.size() - 1)];
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.uniform_int(0, 9);
+    const std::string label = "step " + std::to_string(step) + " op " + std::to_string(op);
+    if (w.job_order().empty() || op <= 2) {
+      w.submit_job(spec(next_id++, static_cast<double>(step)));
+    } else if (op == 3 && !outside.empty()) {
+      const std::size_t k = rng.uniform_int(0, outside.size() - 1);
+      w.adopt_job(std::move(outside[k]));
+      outside.erase(outside.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (op == 4) {
+      // Completed jobs leave too: a handoff can race a completion.
+      outside.push_back(w.extract_job(pick()));
+    } else if (op == 5 || op == 6) {
+      workload::Job& j = w.job(pick());
+      j.set_held(!j.held());
+    } else {
+      const util::JobId id = pick();
+      if (w.job(id).phase() != JobPhase::kCompleted) {
+        w.complete_job(id, util::Seconds{static_cast<double>(step)});
+      }
+    }
+    expect_live_matches_reference(w, label);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WorldLiveFuzz, ::testing::Values(5u, 99u, 20080625u));
+
+TEST(WorldLiveList, VisitsStayBoundedByLiveCountAcrossManyCompletions) {
+  // Structural, not timing: after 10k completions with ~50 jobs live,
+  // the slots active_jobs() walks must still track the live count, not
+  // the run history.
+  constexpr std::size_t kLive = 50;
+  constexpr unsigned kCompletions = 10000;
+  util::Rng rng(7);
+  World w;
+  unsigned next_id = 0;
+  std::deque<util::JobId> live;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    live.push_back(w.submit_job(spec(next_id++)).id());
+  }
+  std::size_t max_slots = 0;
+  for (unsigned done = 0; done < kCompletions; ++done) {
+    const std::size_t k = rng.uniform_int(0, live.size() - 1);
+    w.complete_job(live[k], util::Seconds{static_cast<double>(done)});
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    live.push_back(w.submit_job(spec(next_id++)).id());
+    ASSERT_EQ(w.active_jobs().size(), kLive);
+    max_slots = std::max(max_slots, w.live_slot_count());
+  }
+  EXPECT_EQ(w.completed_count(), kCompletions);
+  EXPECT_EQ(w.submitted_count(), kLive + kCompletions);
+  // Tombstones are compacted once they outnumber live slots.
+  EXPECT_LE(max_slots, 2 * kLive + 1);
+  EXPECT_LE(w.live_slot_count(), 2 * kLive + 1);
 }
 
 TEST(World, AppLookup) {
