@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/utility_policy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -79,14 +78,6 @@ void PlacementController::run_cycle() {
                      {"jobs_waiting", static_cast<double>(out.diag.solver.jobs_waiting)}});
   }
 
-  // Post-apply snapshot for same-timestamp consumers (PowerManager runs
-  // at kPower after this controller and would otherwise rebuild it).
-  if (cache_enabled_) {
-    cached_ = build_problem_skeleton(world_);
-    cached_at_ = now;
-    cache_valid_ = true;
-  }
-
   if (observer_) {
     CycleReport report;
     report.t = now;
@@ -99,14 +90,10 @@ void PlacementController::run_cycle() {
 void PlacementController::set_online(bool online) {
   if (online == online_) return;
   online_ = online;
-  if (!online_) {
-    cache_valid_ = false;  // never share a pre-blackout snapshot
-    return;
-  }
+  if (!online_) return;
   // Back online: the world changed arbitrarily while this controller was
-  // blind, so drop policy warm-start state and run one resync cycle at
-  // the recovery timestamp (after the fault event that triggered it).
-  policy_->on_resync();
+  // blind, so run one resync cycle at the recovery timestamp (after the
+  // fault event that triggered it).
   engine_.schedule_at(engine_.now(), sim::EventPriority::kController, config_.shard,
                       [this] { run_cycle(); });
 }

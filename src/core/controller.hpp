@@ -97,25 +97,12 @@ class PlacementController {
 
   /// Domain blackout support: while offline the periodic loop keeps its
   /// schedule but every evaluation is skipped (counted in
-  /// missed_cycles). Going back online resyncs from live cluster state:
-  /// the policy drops its warm-start state (PlacementPolicy::on_resync)
-  /// and one extra control cycle runs at the recovery timestamp.
+  /// missed_cycles). Going back online runs one extra control cycle at
+  /// the recovery timestamp, deciding from live cluster state like every
+  /// other cycle.
   void set_online(bool online);
   [[nodiscard]] bool online() const { return online_; }
   [[nodiscard]] long missed_cycles() const { return missed_cycles_; }
-
-  /// Cache the post-apply PlacementProblem skeleton each cycle so
-  /// same-timestamp consumers (PowerManager::tick) can reuse it instead
-  /// of rebuilding. Off by default: a run without a consolidation policy
-  /// should not pay for snapshots nobody reads.
-  void enable_problem_cache() { cache_enabled_ = true; }
-
-  /// The cached skeleton, iff one was built at exactly `now` (stale
-  /// snapshots are never shared — callers fall back to building their
-  /// own).
-  [[nodiscard]] const PlacementProblem* cached_problem(util::Seconds now) const {
-    return cache_enabled_ && cache_valid_ && cached_at_.get() == now.get() ? &cached_ : nullptr;
-  }
 
  private:
   void schedule_next();
@@ -133,10 +120,6 @@ class PlacementController {
   long missed_cycles_{0};
   util::Seconds next_cycle_at_{0.0};
   bool online_{true};
-  bool cache_enabled_{false};
-  bool cache_valid_{false};
-  util::Seconds cached_at_{-1.0};
-  PlacementProblem cached_;
 };
 
 }  // namespace heteroplace::core

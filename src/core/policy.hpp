@@ -57,11 +57,6 @@ class PlacementPolicy {
   /// once per control cycle; must not mutate the world.
   [[nodiscard]] virtual PolicyOutput decide(const World& world, util::Seconds now) = 0;
 
-  /// The controller was offline (domain blackout) and is resuming from
-  /// live cluster state: drop warm-start state carried across cycles —
-  /// the world may have changed arbitrarily while the policy was blind.
-  virtual void on_resync() {}
-
   /// Attach observability (forwarded by PlacementController::set_obs).
   /// Policies that trace their solve phases override this; the default
   /// keeps baselines emission-free.

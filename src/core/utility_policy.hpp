@@ -22,16 +22,14 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
 
   UtilityDrivenPolicy(std::shared_ptr<const utility::JobUtilityModel> job_model,
                       std::shared_ptr<const utility::TxUtilityModel> tx_model,
-                      SolverConfig solver_config = {}, EqualizerOptions eq_options = {})
+                      SolverConfig solver_config = {})
       : job_model_(std::move(job_model)),
         tx_model_(std::move(tx_model)),
-        solver_config_(solver_config),
-        eq_options_(eq_options) {}
+        solver_config_(solver_config) {}
 
   void set_lambda_provider(LambdaProvider provider) { lambda_provider_ = std::move(provider); }
 
   [[nodiscard]] PolicyOutput decide(const World& world, util::Seconds now) override;
-  void on_resync() override { eq_state_ = EqualizerState{}; }
   void set_obs(const obs::ObsContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "utility-driven"; }
 
@@ -42,8 +40,6 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
   std::shared_ptr<const utility::JobUtilityModel> job_model_;
   std::shared_ptr<const utility::TxUtilityModel> tx_model_;
   SolverConfig solver_config_;
-  EqualizerOptions eq_options_;
-  EqualizerState eq_state_;  // previous-cycle u* for warm starts
   LambdaProvider lambda_provider_;
   obs::ObsContext obs_;
   obs::Histogram* eq_iterations_metric_{nullptr};

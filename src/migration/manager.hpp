@@ -152,7 +152,7 @@ class MigrationManager {
     /// Link-fault retry bookkeeping: resubmissions performed so far and
     /// the pending backoff event while kRetryWait.
     int attempts{0};
-    sim::EventHandle retry;
+    sim::EventHandle retry{};
   };
 
   void execute(const MigrationRequest& req);

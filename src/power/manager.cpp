@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/utility_policy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/sla.hpp"
@@ -23,6 +22,27 @@ PowerModel validated(PowerModel model) {
 }
 
 }  // namespace
+
+JobDemandSummary summarize_job_demand(const core::World& world) {
+  double largest_node_mem = 0.0;
+  for (const auto& node : world.cluster().nodes()) {
+    largest_node_mem = std::max(largest_node_mem, node.capacity().mem.get());
+  }
+  JobDemandSummary out;
+  for (const workload::Job* job : world.active_jobs()) {
+    out.max_speed_mhz += job->spec().max_speed.get();
+    // Suspended jobs count too: their VM is unplaced and the executor's
+    // resume needs a node with room, exactly like a first placement.
+    const bool unplaced = (job->phase() == workload::JobPhase::kPending ||
+                           job->phase() == workload::JobPhase::kSuspended) &&
+                          !job->node().valid();
+    const double image = job->spec().memory.get();
+    if (unplaced && image <= largest_node_mem) {
+      out.unplaced_image_mb = std::max(out.unplaced_image_mb, image);
+    }
+  }
+  return out;
+}
 
 PowerManager::PowerManager(sim::Engine& engine, core::World& world, PowerModel model,
                            std::unique_ptr<ConsolidationPolicy> policy, PowerOptions options)
@@ -97,20 +117,12 @@ void PowerManager::tick() {
     }
   }
 
-  // A metering-only policy never reads the snapshot — skip the
+  // A metering-only policy never reads the input — skip the
   // O(nodes + jobs + apps) construction and the decide() call outright.
   if (!policy_->acts()) return;
 
-  // Snapshot: the solver's view of the cluster plus the power state.
-  // When a controller shares its same-timestamp skeleton, reuse it
-  // instead of rebuilding the identical O(nodes + jobs + apps) snapshot.
-  const core::PlacementProblem* shared =
-      problem_provider_ ? problem_provider_(now) : nullptr;
-  core::PlacementProblem local;
-  if (shared == nullptr) local = core::build_problem_skeleton(world_);
-  const core::PlacementProblem& problem = shared != nullptr ? *shared : local;
+  const JobDemandSummary jobs = summarize_job_demand(world_);
   ConsolidationInput in;
-  in.problem = &problem;
   in.model = &model_;
   in.pstate = pstate_;
   in.draw_w = meter_.total_draw_w();
@@ -118,10 +130,10 @@ void PowerManager::tick() {
   in.park_depth = options_.park_depth;
   in.min_active_nodes = options_.min_active_nodes;
   in.active_cpu_mhz = cl.placeable_capacity().cpu.get();
-  double offered = 0.0;
-  for (const core::SolverJob& j : problem.jobs) offered += j.max_speed.get();
+  double offered = jobs.max_speed_mhz;
   for (const auto& app : world_.apps()) offered += app.offered_load(now).get();
   in.offered_cpu_mhz = offered;
+  in.unplaced_image_mb = jobs.unplaced_image_mb;
   in.nodes.reserve(cl.node_count());
   for (std::size_t i = 0; i < cl.node_count(); ++i) {
     const cluster::Node& node = cl.nodes()[i];

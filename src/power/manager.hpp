@@ -18,7 +18,10 @@
 // samplers observe the manager's effects. The manager never parks a node
 // hosting VMs (Node enforces this physically) and never parks below the
 // configured active floor; everything else is the pluggable
-// ConsolidationPolicy's call.
+// ConsolidationPolicy's call. Each tick decides from live state alone:
+// the node power views plus a two-number job summary
+// (summarize_job_demand) recomputed from the World, so a migration that
+// lands between the controller and the tick at one timestamp is seen.
 //
 // Energy: draw changes only on the transitions above (plus P-state
 // moves), so the EnergyMeter integrates exactly — a power-enabled run
@@ -37,6 +40,19 @@
 #include "sim/engine.hpp"
 
 namespace heteroplace::power {
+
+/// What a consolidation policy needs from the live jobs.
+struct JobDemandSummary {
+  /// Σ speed caps of the active jobs, summed in World::active_jobs() order.
+  double max_speed_mhz{0.0};
+  /// See ConsolidationInput::unplaced_image_mb.
+  double unplaced_image_mb{0.0};
+};
+
+/// Summarize the live jobs in one pass over world.active_jobs(). The
+/// largest-node filter on unplaced images reads every node's capacity,
+/// whatever its power state.
+[[nodiscard]] JobDemandSummary summarize_job_demand(const core::World& world);
 
 struct PowerOptions {
   /// Policy evaluation period (runners default it to the control cycle).
@@ -81,16 +97,6 @@ class PowerManager {
   /// power lane, tick timing, and park/wake counters.
   void set_obs(const obs::ObsContext& ctx);
 
-  /// Reuse a controller-built PlacementProblem skeleton instead of
-  /// rebuilding one per tick (see PlacementController::
-  /// enable_problem_cache). The provider returns nullptr when it has
-  /// nothing fresh for the queried timestamp; tick then falls back to
-  /// building its own snapshot.
-  using ProblemProvider = std::function<const core::PlacementProblem*(util::Seconds)>;
-  void set_problem_provider(ProblemProvider provider) {
-    problem_provider_ = std::move(provider);
-  }
-
   /// Fault-injection hooks (see faults::FaultInjector). A crashed node
   /// draws zero power and sits outside the sleep-state machine until its
   /// recovery restores active draw at the current P-state.
@@ -132,7 +138,6 @@ class PowerManager {
   /// Per-node time the node was first seen empty (tick granularity);
   /// negative while hosting or not active.
   std::vector<double> empty_since_;
-  ProblemProvider problem_provider_;
   std::function<void()> tick_loop_;
   bool started_{false};
 };

@@ -26,25 +26,10 @@ ConsolidationActions IdleParkPolicy::decide(const ConsolidationInput& in, util::
     if (n.state == PowerState::kActive || n.state == PowerState::kWaking) ++active_like;
   }
 
-  // CPU headroom is not the only way placement can starve: a pending job
-  // whose image fits no awake node's free memory needs a wake however
-  // much CPU is spare. Track the largest such demand, ignoring jobs too
-  // big for every node in the cluster (no wake can ever help those).
-  double largest_node_mem = 0.0;
-  for (const NodePowerView& n : in.nodes) {
-    largest_node_mem = std::max(largest_node_mem, n.mem_capacity_mb);
-  }
-  double mem_need = 0.0;  // largest unplaced (pending or suspended) image
-  for (const core::SolverJob& j : in.problem->jobs) {
-    // Suspended jobs count too: their VM is unplaced and the executor's
-    // resume needs a node with room, exactly like a first placement.
-    const bool unplaced = (j.phase == workload::JobPhase::kPending ||
-                           j.phase == workload::JobPhase::kSuspended) &&
-                          !j.current_node.valid();
-    if (!unplaced) continue;
-    if (j.memory.get() > largest_node_mem) continue;
-    mem_need = std::max(mem_need, j.memory.get());
-  }
+  // CPU headroom is not the only way placement can starve: a pending or
+  // suspended job whose image fits no awake node's free memory needs a
+  // wake however much CPU is spare.
+  const double mem_need = in.unplaced_image_mb;
   auto mem_hosts = [&](double need) {
     int hosts = 0;
     for (const NodePowerView& n : in.nodes) {

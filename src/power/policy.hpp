@@ -3,13 +3,12 @@
 // Pluggable consolidation policies: which nodes to park or wake, and how
 // hard to throttle.
 //
-// Each control-ish cycle the PowerManager hands its policy the same
-// PlacementProblem skeleton the placement solver sees (active nodes with
-// their effective capacities, every live job with its memory and speed
-// cap) plus the per-node power view. The policy returns park/wake
-// proposals and a DVFS target; the manager validates and executes them.
-// Policies are deterministic — same input, same actions — so
-// power-managed runs replay exactly.
+// Each control-ish cycle the PowerManager hands its policy a two-number
+// summary of the live jobs (their offered CPU and the largest image still
+// waiting for a node) plus the per-node power view. The policy returns
+// park/wake proposals and a DVFS target; the manager validates and
+// executes them. Policies are deterministic — same input, same actions —
+// so power-managed runs replay exactly.
 //
 //   none       — never parks, never throttles (the metering-only policy;
 //                a power-enabled run under it is bit-identical to a
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "cluster/node.hpp"
-#include "core/placement_problem.hpp"
 #include "power/power_model.hpp"
 #include "util/units.hpp"
 
@@ -46,14 +44,15 @@ struct NodePowerView {
 };
 
 struct ConsolidationInput {
-  /// What the placement solver would see right now (parked nodes absent,
-  /// active capacities P-state-scaled).
-  const core::PlacementProblem* problem{nullptr};
   const PowerModel* model{nullptr};
   std::vector<NodePowerView> nodes;
   /// CPU the current workload could consume: active-job speed caps plus
   /// the transactional offered load λ(t)·d.
   double offered_cpu_mhz{0.0};
+  /// Largest memory image among pending or suspended jobs that hold no
+  /// node, ignoring images larger than every node (no wake can help
+  /// those); 0 = none.
+  double unplaced_image_mb{0.0};
   /// Placeable (active, scaled) capacity right now.
   double active_cpu_mhz{0.0};
   /// Capacity mid-wake: arriving within one wake latency.
@@ -80,7 +79,7 @@ class ConsolidationPolicy {
                                                     util::Seconds now) = 0;
 
   /// False when decide() never proposes anything — the manager then
-  /// skips building the (O(nodes + jobs)) snapshot entirely, so a
+  /// skips building the (O(nodes + jobs)) input entirely, so a
   /// metering-only run pays nothing per tick beyond the idle clocks.
   [[nodiscard]] virtual bool acts() const { return true; }
 

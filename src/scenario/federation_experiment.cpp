@@ -313,19 +313,6 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
             obs.context(static_cast<std::uint32_t>(i + 1), fed.domain(i).name()));
       }
     }
-    // Share each controller's same-timestamp post-apply PlacementProblem
-    // skeleton with its domain's power tick — but only when migration is
-    // off: kMigration events land between kController and kPower at one
-    // timestamp and can mutate worlds, which would make the cached
-    // skeleton stale.
-    if (!fs.migration.enabled) {
-      for (std::size_t i = 0; i < fed.domain_count(); ++i) {
-        core::PlacementController& ctrl = fed.domain(i).controller();
-        ctrl.enable_problem_cache();
-        power_mgrs[i]->set_problem_provider(
-            [&ctrl](util::Seconds now) { return ctrl.cached_problem(now); });
-      }
-    }
   }
 
   const double horizon = options.horizon_override_s > 0.0 ? options.horizon_override_s

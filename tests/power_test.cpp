@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "scenario/federation_experiment.hpp"
 #include "scenario/power_factory.hpp"
 #include "util/config.hpp"
+#include "util/rng.hpp"
 
 using namespace heteroplace;
 using namespace heteroplace::util::literals;
@@ -126,7 +128,7 @@ TEST(PowerModel, RejectsDegenerateTables) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
   EXPECT_THROW(power::PowerModel::ladder(-5.0), std::invalid_argument);
   EXPECT_THROW(power::PowerModel::ladder(100.0, 9), std::invalid_argument);
-  EXPECT_THROW(power::park_depth_from_string("hibernate"), std::invalid_argument);
+  EXPECT_THROW((void)power::park_depth_from_string("hibernate"), std::invalid_argument);
 }
 
 // --- node sleep states vs. placement ----------------------------------------
@@ -372,6 +374,171 @@ TEST(PowerManager, PowerCapForcesPStateThrottlingAndLiftsWithLoad) {
     EXPECT_DOUBLE_EQ(n.cpu_capacity.get(), 12000.0 * model.speed_at(2));
   }
   EXPECT_GE(mgr.stats().pstate_changes, 1);
+}
+
+// --- job demand summary -------------------------------------------------------
+
+namespace {
+
+/// The summary as the idle-park policy derived it from the solver's
+/// problem skeleton: speed caps summed over the skeleton's jobs, and the
+/// largest unplaced pending/suspended image that fits some node.
+power::JobDemandSummary summary_from_skeleton(const core::World& world) {
+  const core::PlacementProblem problem = core::build_problem_skeleton(world);
+  double largest_node_mem = 0.0;
+  for (const auto& n : world.cluster().nodes()) {
+    largest_node_mem = std::max(largest_node_mem, n.capacity().mem.get());
+  }
+  power::JobDemandSummary ref;
+  for (const core::SolverJob& j : problem.jobs) {
+    ref.max_speed_mhz += j.max_speed.get();
+    const bool unplaced = (j.phase == workload::JobPhase::kPending ||
+                           j.phase == workload::JobPhase::kSuspended) &&
+                          !j.current_node.valid();
+    if (!unplaced || j.memory.get() > largest_node_mem) continue;
+    ref.unplaced_image_mb = std::max(ref.unplaced_image_mb, j.memory.get());
+  }
+  return ref;
+}
+
+workload::Job& add_job(core::World& world, unsigned id, double memory_mb, double speed_mhz,
+                       workload::JobPhase phase, util::NodeId node = {}) {
+  workload::JobSpec spec = make_job(id);
+  spec.memory = util::MemMb{memory_mb};
+  spec.max_speed = util::CpuMhz{speed_mhz};
+  workload::Job& job = world.submit_job(spec);
+  job.set_phase(util::Seconds{0.0}, phase);
+  job.set_node(node);
+  return job;
+}
+
+}  // namespace
+
+TEST(JobDemandSummary, CountsUnplacedPendingAndSuspendedImagesThatFitSomeNode) {
+  core::World world;
+  world.cluster().add_nodes(2, cluster::Resources{12000_mhz, 2048_mb});
+  world.cluster().add_node(cluster::Resources{12000_mhz, 4096_mb});
+  // The largest node is down: it still bounds which images a wake could
+  // ever serve.
+  world.cluster().set_power_state(util::NodeId{2}, PowerState::kFailed);
+  world.cluster().set_power_state(util::NodeId{1}, PowerState::kParked);
+
+  add_job(world, 0, 1000.0, 100.0, workload::JobPhase::kPending);
+  add_job(world, 1, 4096.0, 200.0, workload::JobPhase::kSuspended);  // fits node 2 exactly
+  add_job(world, 2, 4097.0, 300.0, workload::JobPhase::kPending);    // fits no node
+  add_job(world, 3, 3500.0, 400.0, workload::JobPhase::kRunning, util::NodeId{0});
+  add_job(world, 4, 3900.0, 500.0, workload::JobPhase::kSuspended, util::NodeId{0});
+  add_job(world, 5, 4000.0, 600.0, workload::JobPhase::kPending).set_held(true);
+
+  const power::JobDemandSummary got = power::summarize_job_demand(world);
+  EXPECT_EQ(got.unplaced_image_mb, 4096.0);
+  EXPECT_EQ(got.max_speed_mhz, 100.0 + 200.0 + 300.0 + 400.0 + 500.0);  // held job hidden
+
+  world.job(util::JobId{1}).set_phase(util::Seconds{0.0}, workload::JobPhase::kResuming);
+  EXPECT_EQ(power::summarize_job_demand(world).unplaced_image_mb, 1000.0);
+  EXPECT_EQ(power::summarize_job_demand(core::World{}).unplaced_image_mb, 0.0);
+}
+
+// Property: on random worlds the one-pass summary reproduces what the
+// policy read from the full skeleton — the speed-cap sum bit for bit.
+class JobDemandSummaryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JobDemandSummaryFuzz, MatchesProblemSkeleton) {
+  util::Rng rng(GetParam());
+  constexpr workload::JobPhase kPhases[] = {
+      workload::JobPhase::kPending,    workload::JobPhase::kStarting,
+      workload::JobPhase::kRunning,    workload::JobPhase::kSuspending,
+      workload::JobPhase::kSuspended,  workload::JobPhase::kResuming,
+      workload::JobPhase::kMigrating};
+  constexpr PowerState kNodeStates[] = {PowerState::kActive, PowerState::kParked,
+                                        PowerState::kWaking, PowerState::kFailed};
+  for (int trial = 0; trial < 20; ++trial) {
+    core::World world;
+    const int nodes = 1 + static_cast<int>(rng.uniform_int(0, 7));
+    double largest = 0.0;
+    for (int n = 0; n < nodes; ++n) {
+      const double mem = 1024.0 * static_cast<double>(rng.uniform_int(1, 8));
+      largest = std::max(largest, mem);
+      const util::NodeId id = world.cluster().add_node(
+          cluster::Resources{util::CpuMhz{12000.0}, util::MemMb{mem}});
+      world.cluster().set_power_state(id, kNodeStates[rng.uniform_int(0, 3)]);
+    }
+    const unsigned jobs = static_cast<unsigned>(rng.uniform_int(0, 40));
+    for (unsigned id = 0; id < jobs; ++id) {
+      const util::NodeId node =
+          rng.chance(0.5) ? util::NodeId{static_cast<unsigned>(rng.uniform_int(0, nodes - 1))}
+                          : util::NodeId{};
+      workload::Job& job = add_job(world, id, rng.uniform(256.0, 1.25 * largest),
+                                   rng.uniform(50.0, 3000.0), kPhases[rng.uniform_int(0, 6)],
+                                   node);
+      job.set_held(rng.chance(0.15));
+    }
+    // An unplaced job larger than every node: no wake can ever serve it.
+    add_job(world, jobs, largest + 1.0, rng.uniform(50.0, 3000.0), workload::JobPhase::kPending);
+
+    const power::JobDemandSummary got = power::summarize_job_demand(world);
+    const power::JobDemandSummary want = summary_from_skeleton(world);
+    EXPECT_EQ(got.max_speed_mhz, want.max_speed_mhz) << "trial " << trial;
+    EXPECT_EQ(got.unplaced_image_mb, want.unplaced_image_mb) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JobDemandSummaryFuzz, ::testing::Values(5u, 71u, 20080625u));
+
+// --- idle-park policy on a hand-built input -----------------------------------
+
+namespace {
+
+power::NodePowerView node_view(unsigned id, PowerState state, double mem_free_mb,
+                               double idle_s = 0.0) {
+  power::NodePowerView v;
+  v.id = util::NodeId{id};
+  v.state = state;
+  v.empty = mem_free_mb >= 4096.0;
+  v.idle_s = idle_s;
+  v.cpu_capacity_mhz = 12000.0;
+  v.mem_capacity_mb = 4096.0;
+  v.mem_free_mb = mem_free_mb;
+  return v;
+}
+
+}  // namespace
+
+TEST(IdleParkPolicy, UnplacedImageWakesAParkedNodeWhenNoAwakeNodeFitsIt) {
+  const power::PowerModel model = power::PowerModel::ladder(200.0, 1);
+  power::ConsolidationInput in;
+  in.model = &model;
+  in.nodes = {node_view(0, PowerState::kActive, 96.0), node_view(1, PowerState::kParked, 4096.0),
+              node_view(2, PowerState::kParked, 4096.0)};
+  in.active_cpu_mhz = 12000.0;
+  in.offered_cpu_mhz = 100.0;  // CPU alone never asks for a wake
+  power::IdleParkPolicy policy(power::IdleParkConfig{150.0, 1.25});
+
+  EXPECT_TRUE(policy.decide(in, util::Seconds{0.0}).wake.empty());
+  in.unplaced_image_mb = 1300.0;
+  EXPECT_EQ(policy.decide(in, util::Seconds{0.0}).wake,
+            std::vector<util::NodeId>{util::NodeId{1}});
+  in.unplaced_image_mb = 90.0;  // node 0 still has room
+  EXPECT_TRUE(policy.decide(in, util::Seconds{0.0}).wake.empty());
+}
+
+TEST(IdleParkPolicy, NeverParksTheLastNodeThatFitsTheUnplacedImage) {
+  const power::PowerModel model = power::PowerModel::ladder(200.0, 1);
+  power::ConsolidationInput in;
+  in.model = &model;
+  in.nodes = {node_view(0, PowerState::kActive, 96.0),
+              node_view(1, PowerState::kActive, 4096.0, 1.0e4),
+              node_view(2, PowerState::kActive, 4096.0, 1.0e4)};
+  in.active_cpu_mhz = 36000.0;
+  in.min_active_nodes = 1;
+  power::IdleParkPolicy policy(power::IdleParkConfig{150.0, 1.25});
+
+  // Highest ids park first; without a blocked image both idle nodes go.
+  EXPECT_EQ(policy.decide(in, util::Seconds{0.0}).park,
+            (std::vector<util::NodeId>{util::NodeId{2}, util::NodeId{1}}));
+  in.unplaced_image_mb = 1300.0;
+  EXPECT_EQ(policy.decide(in, util::Seconds{0.0}).park,
+            std::vector<util::NodeId>{util::NodeId{2}});
 }
 
 // --- scenario integration ----------------------------------------------------
