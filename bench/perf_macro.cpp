@@ -117,8 +117,8 @@ std::vector<scenario::TxAppScenario> make_apps(const Shape& sh) {
   return apps;
 }
 
-scenario::FederatedScenario macro_scenario(const Shape& sh) {
-  scenario::FederatedScenario fs;
+scenario::Scenario macro_scenario(const Shape& sh) {
+  scenario::Scenario fs;
   fs.name = std::string("perf-macro-") + sh.mode;
 
   for (int i = 0; i < sh.domains; ++i) {
@@ -178,8 +178,8 @@ struct CaseResult {
 };
 static_assert(std::is_trivially_copyable_v<CaseResult>);
 
-CaseResult run_case(const scenario::FederatedScenario& base, int threads, bool profile) {
-  scenario::FederatedScenario fs = base;
+CaseResult run_case(const scenario::Scenario& base, int threads, bool profile) {
+  scenario::Scenario fs = base;
   fs.engine_threads = threads;
   // Per-phase wall-clock attribution (obs layer). Digest-excluded, so
   // the bit-identity sweep still holds with profiling on; the table
@@ -205,7 +205,7 @@ CaseResult run_case(const scenario::FederatedScenario& base, int threads, bool p
 /// Run one case in a forked child (fresh heap, own peak RSS). The
 /// parent starts no threads, so forking it is safe. nullopt if the
 /// child failed.
-std::optional<CaseResult> run_case_isolated(const scenario::FederatedScenario& base,
+std::optional<CaseResult> run_case_isolated(const scenario::Scenario& base,
                                             int threads, bool profile) {
   int fds[2];
   if (pipe(fds) != 0) return std::nullopt;
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
 #endif
 
   const Shape sh = smoke ? smoke_shape() : full_shape();
-  const scenario::FederatedScenario base = macro_scenario(sh);
+  const scenario::Scenario base = macro_scenario(sh);
   std::printf("perf_macro [%s]: %d domains x %d nodes, %ld jobs over %.0f s\n", sh.mode,
               sh.domains, sh.nodes_per_domain, sh.jobs, sh.horizon_s);
 

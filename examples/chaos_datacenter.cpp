@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   base.jobs.mean_interarrival_s = 1500.0;  // stream spans most of the week
   base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
 
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   fs.domains[0].name = "dc-primary";
   fs.domains[0].cluster.nodes = 4;
   fs.domains[1].name = "dc-east";

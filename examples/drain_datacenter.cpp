@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   base.jobs.count = cfg.get_int("jobs", 90);
   base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
 
-  scenario::FederatedScenario fs =
+  scenario::Scenario fs =
       scenario::federate(base, 3, cfg.get_string("router", "least-loaded"));
   fs.domains[0].name = "dc-primary";
   fs.domains[0].cluster.nodes = 4;

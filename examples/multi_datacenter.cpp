@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   diurnal.add(util::Seconds{60000.0}, 3.0);   // night again
   base.apps[0].trace = diurnal;
 
-  scenario::FederatedScenario fs =
+  scenario::Scenario fs =
       scenario::federate(base, 3, cfg.get_string("router", "least-loaded"));
   fs.domains[0].name = "dc-primary";
   fs.domains[0].cluster.nodes = 5;

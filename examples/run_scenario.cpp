@@ -2,12 +2,15 @@
 // config file (or on the command line) and run it under any policy — no
 // recompilation.
 //
-//   ./build/examples/run_scenario --config=examples/configs/section3.conf
-//   ./build/examples/run_scenario --nodes=10 --jobs.count=100 --cycle_s=300
-//   ./build/examples/run_scenario --config=base.conf --policy=static-partition
+//   ./build/run_scenario --config=examples/configs/section3.conf
+//   ./build/run_scenario --config=examples/configs/three_domains.conf
+//   ./build/run_scenario --nodes=10 --jobs.count=100 --cycle_s=300
+//   ./build/run_scenario --config=base.conf --policy=static-partition
 //
-// Command-line keys override file keys. `--print_config` echoes the fully
-// resolved scenario (archivable; round-trips through the loader).
+// Command-line keys override file keys. A config with more than one
+// domain runs through the federated runner and prints the merged summary.
+// `--print_config=true` prints the fully resolved scenario instead of
+// running it; that text reloads to a run with the same result digest.
 
 #include <fstream>
 #include <iostream>
@@ -15,6 +18,7 @@
 
 #include "scenario/config_loader.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/federation_experiment.hpp"
 #include "scenario/report.hpp"
 
 int main(int argc, char** argv) {
@@ -55,10 +59,19 @@ int main(int argc, char** argv) {
     scenario::ExperimentOptions options;
     options.policy = scenario::policy_from_string(policy_name);
 
-    std::cout << "Running scenario '" << s.name << "' (" << s.cluster.nodes << " nodes, "
-              << s.jobs.count << " jobs, " << s.apps.size() << " app(s)) under "
-              << scenario::to_string(options.policy) << "\n\n";
-    const auto result = scenario::run_experiment(s, options);
+    int nodes = 0;
+    for (const auto& d : s.domains) nodes += d.cluster.total_nodes();
+    std::cout << "Running scenario '" << s.name << "' (" << nodes << " nodes, "
+              << s.domains.size() << " domain(s), " << s.jobs.count << " jobs, " << s.apps.size()
+              << " app(s)) under " << scenario::to_string(options.policy) << "\n\n";
+    scenario::ExperimentResult result;
+    if (s.domains.size() > 1) {
+      auto fed = scenario::run_federated_experiment(s, options);
+      result.summary = fed.summary;
+      result.series = std::move(fed.series);
+    } else {
+      result = scenario::run_experiment(s, options);
+    }
     scenario::print_summary(std::cout, result.summary);
 
     if (!out_csv.empty()) {

@@ -58,6 +58,7 @@ bool cluster_admits(const ClusterSpec& cluster, const cluster::ConstraintSet& c)
 void validate_constraint(const cluster::ConstraintSet& c,
                          const std::vector<const ClusterSpec*>& clusters,
                          const std::string& what) {
+  if (c.min_core_mhz < 0.0) throw util::ConfigError(what + ".min_core_mhz: must be nonnegative");
   if (c.empty()) return;
   for (const ClusterSpec* cl : clusters) {
     if (cluster_admits(*cl, c)) return;

@@ -1,12 +1,9 @@
 #pragma once
 
-// Machine-class plumbing shared by the scenario loaders and runners.
-//
-// The single-world and federated config loaders both accept the same
-// `classes` / `class.<name>.*` pool keys and `*.constraint.*` job/app
-// keys; validation and cluster population live here so the two loaders
-// cannot drift (the same pattern as fault_factory / power_factory /
-// obs_factory).
+// Machine-class plumbing shared by the config loader and the runner:
+// validation of the `classes` / `class.<name>.*` pool keys and the
+// `*.constraint.*` job/app keys, and cluster population (the same
+// pattern as fault_factory / power_factory / obs_factory).
 
 #include <string>
 #include <vector>
@@ -34,9 +31,10 @@ void validate_class_pools(const ClusterSpec& cluster);
 /// constraint fails closed against.
 [[nodiscard]] bool cluster_admits(const ClusterSpec& cluster, const cluster::ConstraintSet& c);
 
-/// Throw util::ConfigError naming `what` unless some pool among
-/// `clusters` admits `c` — an unsatisfiable constraint is a config
-/// error at load time, not a job that waits forever at run time.
+/// Throw util::ConfigError naming `what` if `c.min_core_mhz` is negative
+/// or unless some pool among `clusters` admits `c` — an unsatisfiable
+/// constraint is a config error at load time, not a job that waits
+/// forever at run time.
 void validate_constraint(const cluster::ConstraintSet& c,
                          const std::vector<const ClusterSpec*>& clusters,
                          const std::string& what);

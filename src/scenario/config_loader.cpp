@@ -1,16 +1,21 @@
 #include "scenario/config_loader.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <concepts>
 #include <map>
-#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "federation/router.hpp"
 #include "scenario/class_factory.hpp"
 #include "scenario/fault_factory.hpp"
+#include "scenario/federation_experiment.hpp"
 #include "scenario/obs_factory.hpp"
 #include "scenario/power_factory.hpp"
 
@@ -18,36 +23,292 @@ namespace heteroplace::scenario {
 
 namespace {
 
-/// Track consumed keys so unknown keys can be rejected.
-class KeyedConfig {
- public:
-  explicit KeyedConfig(const util::Config& cfg) : cfg_(cfg) {}
+// --- the key table ------------------------------------------------------------
+// walk() names every config key once, next to the member it sets. A
+// visitor gives it a meaning: Reader loads (member = read(key, member), so
+// a key's default is whatever the struct holds when the walk reaches it),
+// Writer dumps (and lists the keys). Per-prefix families go through
+// v.indexed (a count key, elements <prefix><i>.*) or v.named (a name-list
+// key, elements <prefix><name>.*); `make` builds an element's defaults and
+// the element walk takes the visitor as its first argument.
 
-  [[nodiscard]] double num(const std::string& key, double def) {
-    used_.insert(key);
-    return cfg_.get_double(key, def);
+template <typename V, typename C>
+void walk_constraint(V& v, const std::string& p, C& c) {
+  v(p + "arch", c.arch);
+  v(p + "accel", c.accel);
+  v(p + "min_core_mhz", c.min_core_mhz);
+}
+
+template <typename V, typename D>
+void walk_domain(V& v, const std::string& p, D& d) {
+  v(p + "name", d.name);
+  v(p + "nodes", d.cluster.nodes);
+  v(p + "cpu_per_node_mhz", d.cluster.cpu_per_node_mhz);
+  v(p + "mem_per_node_mb", d.cluster.mem_per_node_mb);
+  for (auto& pool : d.cluster.classes) v(p + "class." + pool.klass.name + ".count", pool.count);
+  v(p + "first_cycle_at_s", d.first_cycle_at_s);
+  v(p + "power_cap_w", d.power_cap_w);
+}
+
+template <typename V, typename S>
+void walk(V& v, S& s) {
+  v("name", s.name);
+  v("seed", s.seed);
+  v("horizon_s", s.horizon_s);
+  v("sample_interval_s", s.sample_interval_s);
+  v("engine.threads", s.engine_threads);
+
+  v("nodes", s.cluster.nodes);
+  v("cpu_per_node_mhz", s.cluster.cpu_per_node_mhz);
+  v("mem_per_node_mb", s.cluster.mem_per_node_mb);
+  v.named(
+      "classes", "class.", s.cluster.classes, [](const auto& pool) { return pool.klass.name; },
+      [](const std::string& name) { ClassPoolSpec pool; pool.klass.name = name; return pool; },
+      [](auto& w, const std::string& p, auto& pool) {
+        w(p + "arch", pool.klass.arch);
+        w(p + "cores", pool.klass.cores);
+        w(p + "core_mhz", pool.klass.core_mhz);
+        w(p + "mem_mb", pool.klass.mem_mb);
+        w(p + "speed_factor", pool.klass.speed_factor);
+        w(p + "accel", pool.klass.accel);
+        w(p + "count", pool.count);
+      });
+
+  v("cycle_s", s.controller.cycle_s);
+  auto& lat = s.controller.latencies;
+  v("latency.start_job", lat.start_job);
+  v("latency.suspend", lat.suspend_job);
+  v("latency.resume", lat.resume_job);
+  v("latency.migrate", lat.migrate_job);
+  v("latency.start_instance", lat.start_instance);
+  auto& sol = s.controller.solver;
+  v("solver.allow_migration", sol.allow_migration);
+  v("solver.work_conserving", sol.work_conserving);
+  v("solver.protect_completion_horizon_s", sol.protect_completion_horizon_s);
+  v("solver.instance_capacity_factor", sol.instance_capacity_factor);
+
+  auto& jobs = s.jobs;
+  v("jobs.count", jobs.count);
+  v("jobs.mean_interarrival_s", jobs.mean_interarrival_s);
+  v("jobs.tail_count", jobs.tail_count);
+  v("jobs.tail_mean_interarrival_s", jobs.tail_mean_interarrival_s);
+  v("jobs.work_mhz_s", jobs.tmpl.work);
+  v("jobs.work_cv", jobs.tmpl.work_cv);
+  v("jobs.max_speed_mhz", jobs.tmpl.max_speed);
+  v("jobs.memory_mb", jobs.tmpl.memory);
+  v("jobs.goal_stretch", jobs.tmpl.goal_stretch);
+  v("jobs.importance", jobs.tmpl.importance);
+  v("jobs.utility_shape", jobs.utility_shape);
+  walk_constraint(v, "jobs.constraint.", jobs.tmpl.constraint);
+
+  v.indexed(
+      "apps", "app.", 0, 64, s.apps,
+      [&s](int i, int n) {
+        TxAppScenario app = section3_scenario().apps.front();
+        app.spec.id = util::AppId{static_cast<util::AppId::underlying_type>(i)};
+        app.spec.name = n == 1 ? "web" : "app" + std::to_string(i);
+        app.spec.max_instances = s.cluster.total_nodes();
+        app.spec.max_cpu_per_instance = util::CpuMhz{s.cluster.max_node_cpu_mhz()};
+        return app;
+      },
+      [](auto& w, const std::string& p, auto& app) {
+        w(p + "name", app.spec.name);
+        w(p + "lambda", app.trace);
+        w(p + "rt_goal_s", app.spec.rt_goal);
+        w(p + "service_demand_mhz_s", app.spec.service_demand);
+        w(p + "importance", app.spec.importance);
+        w(p + "instance_memory_mb", app.spec.instance_memory);
+        w(p + "min_instances", app.spec.min_instances);
+        w(p + "max_instances", app.spec.max_instances);
+        w(p + "utility_cap", app.spec.utility_cap);
+        w(p + "max_utilization", app.spec.max_utilization);
+        w(p + "throughput_exponent", app.spec.throughput_exponent);
+        walk_constraint(w, p + "constraint.", app.spec.constraint);
+      });
+
+  auto& pw = s.power;
+  v("power.enabled", pw.enabled);
+  v("power.policy", pw.policy);
+  v("power.check_interval_s", pw.check_interval_s);
+  v("power.idle_timeout_s", pw.idle_timeout_s);
+  v("power.headroom_factor", pw.headroom_factor);
+  v("power.min_active_nodes", pw.min_active_nodes);
+  v("power.cap_w", pw.cap_w);
+  v("power.park_state", pw.park_state);
+  v("power.active_w", pw.active_w);
+  v("power.standby_w", pw.standby_w);
+  v("power.off_w", pw.off_w);
+  v("power.park_latency_s", pw.park_latency_s);
+  v("power.wake_latency_s", pw.wake_latency_s);
+  v("power.pstates", pw.pstates);
+
+  auto& ft = s.faults;
+  v("fault.enabled", ft.enabled);
+  v("fault.seed", ft.seed);
+  v("fault.until_s", ft.until_s);
+  v("fault.checkpoint_interval_s", ft.checkpoint_interval_s);
+  v("fault.max_concurrent_repairs", ft.max_concurrent_repairs);
+  v("fault.node_mttf_s", ft.node_mttf_s);
+  v("fault.node_mttr_s", ft.node_mttr_s);
+  v("fault.link_mttf_s", ft.link_mttf_s);
+  v("fault.link_mttr_s", ft.link_mttr_s);
+  v("fault.domain_mttf_s", ft.domain_mttf_s);
+  v("fault.domain_mttr_s", ft.domain_mttr_s);
+  v.indexed(
+      "fault.events", "fault.event.", 0, 4096, ft.events,
+      [](int, int) { return FaultEventSpec{}; },
+      [](auto& w, const std::string& p, auto& e) {
+        w(p + "kind", e.kind);
+        w(p + "domain", e.domain);  // link-down events may spell it `from`
+        w(p + "node", e.node);
+        w(p + "to", e.to);
+        w(p + "at_s", e.at_s);
+        w(p + "duration_s", e.duration_s);
+        w(p + "severity", e.severity);
+      });
+
+  auto& ob = s.obs;
+  v("obs.trace", ob.trace);
+  v("obs.trace_path", ob.trace_path);
+  v("obs.trace_ring_capacity", ob.trace_ring_capacity);
+  v("obs.trace_engine", ob.trace_engine);
+  v("obs.metrics_path", ob.metrics_path);
+  v("obs.metrics_json_path", ob.metrics_json_path);
+  v("obs.profile", ob.profile);
+  v("obs.audit", ob.audit);
+  v("obs.audit_path", ob.audit_path);
+  v("obs.audit_ring_capacity", ob.audit_ring_capacity);
+  v("obs.sla_report_path", ob.sla_report_path);
+  v("obs.sla_report_csv_path", ob.sla_report_csv_path);
+  v.named(
+      "slos", "slo.", s.slos, [](const auto& slo) { return slo.app; },
+      [](const std::string& name) { obs::SloSpec slo; slo.app = name; return slo; },
+      [](auto& w, const std::string& p, auto& slo) {
+        w(p + "target", slo.target);
+        w(p + "long_window_s", slo.long_window_s);
+        w(p + "short_window_s", slo.short_window_s);
+        w(p + "burn_threshold", slo.burn_threshold);
+      });
+
+  v.indexed(
+      "domains", "domain.", 1, 4096, s.domains,
+      [&s](int i, int n) { return domain_share(s.cluster, i, n); },
+      [](auto& w, const std::string& p, auto& d) { walk_domain(w, p, d); });
+  v("router", s.router);
+
+  auto& m = s.migration;
+  v("migration.enabled", m.enabled);
+  v("migration.policy", m.policy);
+  v("migration.check_interval_s", m.check_interval_s);
+  v("migration.max_moves_per_tick", m.max_moves_per_tick);
+  v("migration.high_watermark", m.high_watermark);
+  v("migration.low_watermark", m.low_watermark);
+  v("migration.link_mode", m.link_mode);
+  v("migration.selection", m.selection);
+  v("migration.max_queued_transfers", m.max_queued_transfers);
+  v("migration.max_transfer_retries", m.max_transfer_retries);
+  v("migration.retry_backoff_s", m.retry_backoff_s);
+  v("migration.retry_backoff_max_s", m.retry_backoff_max_s);
+  v("migration.rescore_queued_transfers", m.rescore_queued_transfers);
+  v("migration.align_attach", m.align_attach);
+  v("migration.default_bandwidth_mb_per_s", m.default_bandwidth_mb_per_s);
+  v("migration.default_latency_s", m.default_latency_s);
+  // Sparse families: -1 = keep the model default (see LinkSpec). The
+  // loader finds which entries exist from the keys present.
+  for (auto& link : m.links) {
+    const std::string pair = std::to_string(link.from) + "." + std::to_string(link.to);
+    v("bandwidth." + pair, link.bandwidth_mb_per_s);
+    v("link_latency." + pair, link.latency_s);
   }
-  [[nodiscard]] long long integer(const std::string& key, long long def) {
-    used_.insert(key);
-    return cfg_.get_int(key, def);
+  for (auto& uplink : m.uplinks) {
+    v("uplink_bandwidth." + std::to_string(uplink.domain), uplink.bandwidth_mb_per_s);
   }
-  [[nodiscard]] bool boolean(const std::string& key, bool def) {
-    used_.insert(key);
-    return cfg_.get_bool(key, def);
-  }
-  [[nodiscard]] std::string str(const std::string& key, const std::string& def) {
-    used_.insert(key);
-    return cfg_.get_string(key, def);
-  }
-  [[nodiscard]] bool has(const std::string& key) const { return cfg_.has(key); }
-  /// Keys present under `prefix`; reading one marks it used as usual.
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(const std::string& prefix) const {
-    std::vector<std::string> out;
-    for (const auto& key : cfg_.keys()) {
-      if (key.rfind(prefix, 0) == 0) out.push_back(key);
+}
+
+/// What an empty config loads to.
+Scenario config_defaults() {
+  Scenario s = section3_scenario();
+  s.name = "custom";
+  return s;
+}
+
+template <typename Q>
+concept UnitQuantity = std::is_base_of_v<util::Quantity<Q>, Q>;
+
+/// Loads: member = read(key, member). Tracks the keys it reads so unknown
+/// keys can be rejected.
+class Reader {
+ public:
+  explicit Reader(const util::Config& cfg) {
+    // fault.event.<i>.from is the link-down spelling of .domain; keys()
+    // is sorted, so a .domain key is always copied before its .from.
+    for (const std::string& key : cfg.keys()) {
+      std::string canonical = key;
+      if (key.starts_with("fault.event.") && key.ends_with(".from")) {
+        canonical.replace(key.size() - 4, 4, "domain");
+        if (cfg_.has(canonical)) {
+          throw util::ConfigError(canonical + " and " + key + " are both set; keep one");
+        }
+      }
+      cfg_.set(canonical, *cfg.raw(key));
     }
-    return out;
   }
+
+  void operator()(const std::string& key, double& v) { v = cfg_.get_double(use(key), v); }
+  void operator()(const std::string& key, bool& v) { v = cfg_.get_bool(use(key), v); }
+  void operator()(const std::string& key, std::string& v) { v = cfg_.get_string(use(key), v); }
+  template <std::signed_integral I>
+  void operator()(const std::string& key, I& v) {
+    v = static_cast<I>(cfg_.get_int(use(key), v));
+  }
+  template <std::unsigned_integral U>
+  void operator()(const std::string& key, U& v) {
+    const long long x = cfg_.get_int(use(key), static_cast<long long>(v));
+    if (x < 0) throw util::ConfigError(key + ": must be nonnegative");
+    v = static_cast<U>(x);
+  }
+  template <UnitQuantity Q>
+  void operator()(const std::string& key, Q& q) {
+    q = Q{cfg_.get_double(use(key), q.get())};
+  }
+  void operator()(const std::string& key, std::vector<std::string>& tags) {
+    if (has(key)) tags = parse_tag_list(cfg_.get_string(use(key), ""), key);
+  }
+  void operator()(const std::string& key, workload::DemandTrace& trace) {
+    if (has(key)) trace = workload::DemandTrace{cfg_.get_double(use(key), 0.0)};
+  }
+
+  template <typename T, typename Make, typename Walk>
+  void indexed(const std::string& key, const std::string& prefix, long long lo, long long hi,
+               std::vector<T>& items, Make make, Walk walk) {
+    const long long n =
+        cfg_.get_int(use(key), std::max(lo, static_cast<long long>(items.size())));
+    if (n < lo || n > hi) {
+      throw util::ConfigError(key + ": out of range [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]");
+    }
+    items.clear();
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      items.push_back(make(i, static_cast<int>(n)));
+      walk(*this, prefix + std::to_string(i) + ".", items.back());
+    }
+  }
+
+  template <typename T, typename Name, typename Make, typename Walk>
+  void named(const std::string& key, const std::string& prefix, std::vector<T>& items,
+             Name name_of, Make make, Walk walk) {
+    std::vector<std::string> names;
+    for (const T& item : items) names.push_back(name_of(item));
+    (*this)(key, names);
+    items.clear();
+    for (const std::string& name : names) {
+      items.push_back(make(name));
+      walk(*this, prefix + name + ".", items.back());
+    }
+  }
+
+  [[nodiscard]] bool has(const std::string& key) const { return cfg_.has(key); }
+  [[nodiscard]] std::vector<std::string> keys() const { return cfg_.keys(); }
 
   void reject_unknown() const {
     for (const auto& key : cfg_.keys()) {
@@ -58,511 +319,255 @@ class KeyedConfig {
   }
 
  private:
-  const util::Config& cfg_;
+  const std::string& use(const std::string& key) { return *used_.insert(key).first; }
+
+  util::Config cfg_;
   std::set<std::string> used_;
 };
 
-Scenario scenario_from_keyed(KeyedConfig& k);
-
-/// A canonical decimal domain index ("0", "17"; not "", "01" or "+1");
-/// nullopt otherwise, so the key stays unread and reject_unknown names it.
-std::optional<std::size_t> parse_index(const std::string& s) {
-  if (s.empty() || s.size() > 9 || s.find_first_not_of("0123456789") != std::string::npos ||
-      (s.size() > 1 && s[0] == '0')) {
-    return std::nullopt;
+/// Dumps: one `key = value` line per visited member.
+class Writer {
+ public:
+  void operator()(const std::string& key, double v) {
+    // The shortest text that reads back to exactly `v`.
+    char buf[32];
+    put(key, std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr));
   }
-  return std::stoul(s);
+  void operator()(const std::string& key, bool v) { put(key, v ? "true" : "false"); }
+  void operator()(const std::string& key, const std::string& v) {
+    const auto blank = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+    if (v.find_first_of("#\n") != std::string::npos ||
+        (!v.empty() && (blank(v.front()) || blank(v.back())))) {
+      throw util::ConfigError(key + ": '" + v + "' cannot be written as a config value");
+    }
+    put(key, v);
+  }
+  template <std::integral I>
+  void operator()(const std::string& key, I v) {
+    put(key, std::to_string(v));
+  }
+  template <UnitQuantity Q>
+  void operator()(const std::string& key, const Q& q) {
+    (*this)(key, q.get());
+  }
+  void operator()(const std::string& key, const std::vector<std::string>& tags) {
+    std::string csv;
+    for (const auto& tag : tags) csv += (csv.empty() ? "" : ",") + tag;
+    (*this)(key, csv);
+  }
+  void operator()(const std::string& key, const workload::DemandTrace& trace) {
+    const auto times = trace.change_times();
+    if (times.size() != 1 || times.front().get() != 0.0) {
+      throw util::ConfigError(key + ": a time-varying demand trace has no config key");
+    }
+    (*this)(key, trace.rate_at(util::Seconds{0.0}));
+  }
+
+  template <typename T, typename Make, typename Walk>
+  void indexed(const std::string& key, const std::string& prefix, long long lo, long long,
+               const std::vector<T>& items, Make, Walk walk) {
+    (*this)(key, std::max(lo, static_cast<long long>(items.size())));
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      walk(*this, prefix + std::to_string(i) + ".", items[i]);
+    }
+  }
+
+  template <typename T, typename Name, typename Make, typename Walk>
+  void named(const std::string& key, const std::string& prefix, const std::vector<T>& items,
+             Name name_of, Make, Walk walk) {
+    std::vector<std::string> names;
+    for (const T& item : items) names.push_back(name_of(item));
+    (*this)(key, names);
+    for (const T& item : items) walk(*this, prefix + name_of(item) + ".", item);
+  }
+
+  std::vector<std::pair<std::string, std::string>> lines;
+
+ private:
+  void put(const std::string& key, std::string value) { lines.emplace_back(key, std::move(value)); }
+};
+
+/// Keys that have no effect given the rest of `s`, each with the reason.
+/// The loader rejects them when set; the dump leaves them out.
+std::vector<std::pair<std::string, std::string>> inert_keys(const Scenario& s) {
+  std::vector<std::pair<std::string, std::string>> out;
+  if (s.cluster.heterogeneous()) {
+    for (const std::string key : {"nodes", "cpu_per_node_mhz", "mem_per_node_mb"}) {
+      out.emplace_back(key, "has no effect with explicit machine classes; size each pool via "
+                            "class.<name>.count");
+      for (std::size_t i = 0; i < s.domains.size(); ++i) {
+        const std::string p = "domain." + std::to_string(i) + ".";
+        out.emplace_back(p + key, "has no effect with explicit machine classes; use " + p +
+                                      "class.<name>.count");
+      }
+    }
+  }
+  if (!s.obs.trace_enabled()) {
+    for (const char* key : {"obs.trace_path", "obs.trace_ring_capacity", "obs.trace_engine"}) {
+      out.emplace_back(key, "has no effect with obs.trace=off");
+    }
+  } else if (s.obs.trace != "ring") {
+    out.emplace_back("obs.trace_ring_capacity", "has no effect with obs.trace=" + s.obs.trace);
+  }
+  if (!s.obs.audit_enabled()) {
+    for (const char* key : {"obs.audit_path", "obs.audit_ring_capacity"}) {
+      out.emplace_back(key, "has no effect with obs.audit=off");
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
 Scenario scenario_from_config(const util::Config& cfg) {
-  KeyedConfig k(cfg);
-  Scenario s = scenario_from_keyed(k);
-  validate_constraint(s.jobs.tmpl.constraint, {&s.cluster}, "jobs.constraint");
-  for (std::size_t i = 0; i < s.apps.size(); ++i) {
-    validate_constraint(s.apps[i].spec.constraint, {&s.cluster},
-                        "app." + std::to_string(i) + ".constraint");
+  Reader r(cfg);
+  Scenario s = config_defaults();
+  // Which link and uplink entries exist is read off the keys present, so
+  // the cost does not grow with the square of the domain count. A key
+  // whose indices are not canonical decimals ("01", "+1", "x") stays
+  // unread, and reject_unknown names it.
+  const std::regex link_key(R"((bandwidth|link_latency)\.(0|[1-9]\d{0,8})\.(0|[1-9]\d{0,8}))");
+  const std::regex uplink_key(R"(uplink_bandwidth\.(0|[1-9]\d{0,8}))");
+  std::map<std::pair<std::size_t, std::size_t>, LinkSpec> links;
+  std::map<std::size_t, UplinkSpec> uplinks;
+  for (const std::string& key : r.keys()) {
+    std::smatch m;
+    if (std::regex_match(key, m, link_key)) {
+      const std::size_t from = std::stoul(m[2]);
+      const std::size_t to = std::stoul(m[3]);
+      links.try_emplace({from, to}, LinkSpec{from, to});
+    } else if (std::regex_match(key, m, uplink_key)) {
+      uplinks.try_emplace(std::stoul(m[1]), UplinkSpec{std::stoul(m[1])});
+    }
   }
-  // Single-cluster runs cannot express link or domain faults; fail at
-  // load time, not mid-run.
-  validate_fault_spec(s.faults, {static_cast<std::size_t>(s.cluster.total_nodes())},
-                      /*federated=*/false, /*migration_enabled=*/false, s.horizon_s);
-  k.reject_unknown();
-  return s;
-}
+  for (const auto& entry : links) s.migration.links.push_back(entry.second);
+  for (const auto& entry : uplinks) s.migration.uplinks.push_back(entry.second);
+  walk(r, s);
 
-FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
-  KeyedConfig k(cfg);
-  const Scenario base = scenario_from_keyed(k);
-
-  const auto n_domains = k.integer("domains", 1);
-  if (n_domains < 1 || n_domains > 4096) {
-    throw util::ConfigError("domains: out of range [1, 4096]");
+  // --- cross-key rules ----------------------------------------------------------
+  for (const auto& [key, why] : inert_keys(s)) {
+    if (r.has(key)) throw util::ConfigError(key + " " + why);
   }
-
-  FederatedScenario fs = federated_shell(base);
-  fs.router = k.str("router", "least-loaded");
+  if (s.engine_threads < 1) throw util::ConfigError("engine.threads: must be >= 1");
+  validate_class_pools(s.cluster);
+  validate_power_spec(s.power);
+  validate_obs_spec(s.obs);
+  for (const obs::SloSpec& slo : s.slos) {
+    const bool known =
+        slo.app == "jobs" || std::any_of(s.apps.begin(), s.apps.end(), [&](const auto& app) {
+          return app.spec.name == slo.app;
+        });
+    if (!known) {
+      throw util::ConfigError("slos: '" + slo.app +
+                              "' is neither a tx app name nor the literal 'jobs'");
+    }
+    try {
+      obs::AlertEngine().add_slo(slo);
+    } catch (const std::invalid_argument& e) {
+      throw util::ConfigError("slo." + slo.app + ".*: " + e.what());
+    }
+  }
   try {
-    (void)federation::make_router(fs.router);
+    (void)federation::make_router(s.router);
   } catch (const std::invalid_argument& e) {
     throw util::ConfigError(std::string("router: ") + e.what());
   }
 
-  // Default split of the global pool is even (remainder to the earliest
-  // domains) and may leave later domains with zero nodes; explicit
-  // domain.<i>.nodes overrides apply before the positivity check so
-  // "2 nodes, 4 domains, 1 node each by override" is a valid config.
-  // Heterogeneous specs split each class pool the same way, overridden
-  // per-pool by domain.<i>.class.<name>.count (0 = none of that class
-  // here, so a GPU pool can live in one domain only).
-  const int base_nodes = base.cluster.nodes / static_cast<int>(n_domains);
-  const int remainder = base.cluster.nodes % static_cast<int>(n_domains);
-  for (long long i = 0; i < n_domains; ++i) {
+  // Domains: overrides apply before the positivity check, so "2 nodes,
+  // 4 domains, 1 node each by override" is valid.
+  std::vector<const ClusterSpec*> domain_clusters;
+  std::vector<std::size_t> nodes_per_domain;
+  for (std::size_t i = 0; i < s.domains.size(); ++i) {
+    const DomainSpec& d = s.domains[i];
     const std::string p = "domain." + std::to_string(i) + ".";
-    DomainSpec d;
-    d.name = "dc" + std::to_string(i);
-    d.cluster = base.cluster;
-    d.name = k.str(p + "name", d.name);
-    if (base.cluster.heterogeneous()) {
-      for (const char* key : {"nodes", "cpu_per_node_mhz", "mem_per_node_mb"}) {
-        if (k.has(p + key)) {
-          throw util::ConfigError(p + key +
-                                  " has no effect with explicit machine classes; use " + p +
-                                  "class.<name>.count");
-        }
+    for (const ClassPoolSpec& pool : d.cluster.classes) {
+      if (pool.count < 0) {
+        throw util::ConfigError(p + "class." + pool.klass.name + ".count: must be nonnegative");
       }
-      for (ClassPoolSpec& pool : d.cluster.classes) {
-        const int pool_base = pool.count / static_cast<int>(n_domains);
-        const int pool_rem = pool.count % static_cast<int>(n_domains);
-        const std::string ckey = p + "class." + pool.klass.name + ".count";
-        const int count = static_cast<int>(
-            k.integer(ckey, pool_base + (i < pool_rem ? 1 : 0)));
-        if (count < 0) throw util::ConfigError(ckey + ": must be nonnegative");
-        pool.count = count;
-      }
-      if (d.cluster.total_nodes() < 1) {
-        throw util::ConfigError(p + "class.<name>.count: domain has no nodes");
-      }
-    } else {
-      d.cluster.nodes = base_nodes + (i < remainder ? 1 : 0);
-      d.cluster.nodes = static_cast<int>(k.integer(p + "nodes", d.cluster.nodes));
-      if (d.cluster.nodes < 1) throw util::ConfigError(p + "nodes: must be positive");
-      d.cluster.cpu_per_node_mhz = k.num(p + "cpu_per_node_mhz", d.cluster.cpu_per_node_mhz);
-      d.cluster.mem_per_node_mb = k.num(p + "mem_per_node_mb", d.cluster.mem_per_node_mb);
     }
-    d.first_cycle_at_s = k.num(p + "first_cycle_at_s", d.first_cycle_at_s);
-    d.power_cap_w = k.num(p + "power_cap_w", d.power_cap_w);
-    if (k.has(p + "power_cap_w") && d.power_cap_w < 0.0) {
+    if (d.cluster.total_nodes() < 1) {
+      throw util::ConfigError(p + (d.cluster.heterogeneous() ? "class.<name>.count: domain has "
+                                                               "no nodes"
+                                                             : "nodes: must be positive"));
+    }
+    if (r.has(p + "power_cap_w") && d.power_cap_w < 0.0) {
       throw util::ConfigError(p + "power_cap_w: must be nonnegative (0 = uncapped)");
     }
-    fs.domains.push_back(std::move(d));
+    domain_clusters.push_back(&d.cluster);
+    nodes_per_domain.push_back(static_cast<std::size_t>(d.cluster.total_nodes()));
   }
-
-  // --- live migration ---------------------------------------------------------
-  // Read here, checked by validate_migration_spec: a loaded config and an
-  // equivalent hand-built spec fail with the same message.
-  MigrationSpec& m = fs.migration;
-  m.enabled = k.boolean("migration.enabled", m.enabled);
-  m.policy = k.str("migration.policy", m.policy);
-  m.check_interval_s = k.num("migration.check_interval_s", m.check_interval_s);
-  m.max_moves_per_tick =
-      static_cast<int>(k.integer("migration.max_moves_per_tick", m.max_moves_per_tick));
-  m.high_watermark = k.num("migration.high_watermark", m.high_watermark);
-  m.low_watermark = k.num("migration.low_watermark", m.low_watermark);
-  m.link_mode = k.str("migration.link_mode", m.link_mode);
-  m.selection = k.str("migration.selection", m.selection);
-  m.max_queued_transfers =
-      static_cast<int>(k.integer("migration.max_queued_transfers", m.max_queued_transfers));
-  m.max_transfer_retries =
-      static_cast<int>(k.integer("migration.max_transfer_retries", m.max_transfer_retries));
-  m.retry_backoff_s = k.num("migration.retry_backoff_s", m.retry_backoff_s);
-  m.retry_backoff_max_s = k.num("migration.retry_backoff_max_s", m.retry_backoff_max_s);
-  m.rescore_queued_transfers =
-      k.boolean("migration.rescore_queued_transfers", m.rescore_queued_transfers);
-  m.align_attach = k.boolean("migration.align_attach", m.align_attach);
-  m.default_bandwidth_mb_per_s =
-      k.num("migration.default_bandwidth_mb_per_s", m.default_bandwidth_mb_per_s);
-  m.default_latency_s = k.num("migration.default_latency_s", m.default_latency_s);
-  // Sparse link overrides: bandwidth.<i>.<j> (MB/s) and link_latency.<i>.<j>
-  // (s) per ordered domain pair, uplink_bandwidth.<i> (MB/s) per shared
-  // uplink pool. Only keys actually present are visited, so the cost does
-  // not grow with the square of the domain count.
-  std::map<std::pair<std::size_t, std::size_t>, LinkSpec> links;
-  for (const std::string field : {"bandwidth.", "link_latency."}) {
-    for (const std::string& key : k.keys_with_prefix(field)) {
-      const std::string pair = key.substr(field.size());
-      const std::size_t dot = std::min(pair.find('.'), pair.size());
-      const auto from = parse_index(pair.substr(0, dot));
-      const auto to = parse_index(pair.substr(std::min(dot + 1, pair.size())));
-      if (!from || !to) continue;
-      LinkSpec& link = links[{*from, *to}];
-      link.from = *from;
-      link.to = *to;
-      (field == "bandwidth." ? link.bandwidth_mb_per_s : link.latency_s) = k.num(key, -1.0);
-    }
+  validate_migration_spec(s.migration, s.domains.size());
+  // A constraint is satisfiable if any domain kept an admitting pool.
+  validate_constraint(s.jobs.tmpl.constraint, domain_clusters, "jobs.constraint");
+  for (std::size_t i = 0; i < s.apps.size(); ++i) {
+    validate_constraint(s.apps[i].spec.constraint, domain_clusters,
+                        "app." + std::to_string(i) + ".constraint");
   }
-  for (const auto& entry : links) m.links.push_back(entry.second);
-  std::map<std::size_t, double> uplinks;
-  const std::string uplink_field = "uplink_bandwidth.";
-  for (const std::string& key : k.keys_with_prefix(uplink_field)) {
-    if (const auto domain = parse_index(key.substr(uplink_field.size()))) {
-      uplinks[*domain] = k.num(key, 0.0);
-    }
-  }
-  for (const auto& [domain, bandwidth] : uplinks) m.uplinks.push_back({domain, bandwidth});
-  validate_migration_spec(m, static_cast<std::size_t>(n_domains));
-
-  {
-    // A constraint is satisfiable if any domain kept an admitting pool
-    // (per-domain count overrides may have moved pools around).
-    std::vector<const ClusterSpec*> domain_clusters;
-    for (const DomainSpec& d : fs.domains) domain_clusters.push_back(&d.cluster);
-    validate_constraint(fs.jobs.tmpl.constraint, domain_clusters, "jobs.constraint");
-    for (std::size_t i = 0; i < fs.apps.size(); ++i) {
-      validate_constraint(fs.apps[i].spec.constraint, domain_clusters,
-                          "app." + std::to_string(i) + ".constraint");
-    }
-  }
-
-  {
-    std::vector<std::size_t> nodes_per_domain;
-    for (const DomainSpec& d : fs.domains) {
-      nodes_per_domain.push_back(static_cast<std::size_t>(d.cluster.total_nodes()));
-    }
-    validate_fault_spec(fs.faults, nodes_per_domain, /*federated=*/true, fs.migration.enabled,
-                        fs.horizon_s);
-  }
-
-  k.reject_unknown();
-  return fs;
-}
-
-namespace {
-
-Scenario scenario_from_keyed(KeyedConfig& k) {
-  const Scenario defaults = section3_scenario();
-  Scenario s;
-
-  s.name = k.str("name", "custom");
-  s.seed = static_cast<std::uint64_t>(k.integer("seed", static_cast<long long>(defaults.seed)));
-  s.horizon_s = k.num("horizon_s", defaults.horizon_s);
-  s.sample_interval_s = k.num("sample_interval_s", defaults.sample_interval_s);
-  s.engine_threads = static_cast<int>(k.integer("engine.threads", defaults.engine_threads));
-  if (s.engine_threads < 1) throw util::ConfigError("engine.threads: must be >= 1");
-
-  s.cluster.nodes = static_cast<int>(k.integer("nodes", defaults.cluster.nodes));
-  s.cluster.cpu_per_node_mhz = k.num("cpu_per_node_mhz", defaults.cluster.cpu_per_node_mhz);
-  s.cluster.mem_per_node_mb = k.num("mem_per_node_mb", defaults.cluster.mem_per_node_mb);
-
-  // --- machine classes --------------------------------------------------------
-  // `classes = big,arm` names the pools; each pool is then described by
-  // class.<name>.* keys. Scalar and pooled layouts are mutually
-  // exclusive spellings of the cluster — mixing them is rejected rather
-  // than guessed at.
-  const std::vector<std::string> class_names =
-      parse_tag_list(k.str("classes", ""), "classes");
-  if (!class_names.empty()) {
-    for (const char* key : {"nodes", "cpu_per_node_mhz", "mem_per_node_mb"}) {
-      if (k.has(key)) {
-        throw util::ConfigError(std::string(key) +
-                                " has no effect with explicit machine classes; "
-                                "size each pool via class.<name>.count");
-      }
-    }
-    for (const std::string& name : class_names) {
-      const std::string p = "class." + name + ".";
-      ClassPoolSpec pool;
-      pool.klass.name = name;
-      pool.klass.arch = k.str(p + "arch", "");
-      pool.klass.cores = static_cast<int>(k.integer(p + "cores", 0));
-      pool.klass.core_mhz = k.num(p + "core_mhz", 0.0);
-      pool.klass.mem_mb = k.num(p + "mem_mb", 0.0);
-      pool.klass.speed_factor = k.num(p + "speed_factor", 1.0);
-      pool.klass.accel = parse_tag_list(k.str(p + "accel", ""), p + "accel");
-      pool.count = static_cast<int>(k.integer(p + "count", 0));
-      s.cluster.classes.push_back(std::move(pool));
-    }
-    validate_class_pools(s.cluster);
-  }
-
-  // Shared shape for jobs.constraint.* / app.<i>.constraint.* keys.
-  // Satisfiability against the actual pools is checked by the caller —
-  // the federated loader must test against per-domain class counts.
-  auto parse_constraint = [&k](const std::string& p) {
-    cluster::ConstraintSet c;
-    c.arch = k.str(p + "arch", "");
-    c.accel = parse_tag_list(k.str(p + "accel", ""), p + "accel");
-    c.min_core_mhz = k.num(p + "min_core_mhz", 0.0);
-    if (c.min_core_mhz < 0.0) {
-      throw util::ConfigError(p + "min_core_mhz: must be nonnegative");
-    }
-    return c;
-  };
-
-  s.controller.cycle_s = k.num("cycle_s", defaults.controller.cycle_s);
-  auto& lat = s.controller.latencies;
-  lat.start_job = util::Seconds{k.num("latency.start_job", lat.start_job.get())};
-  lat.suspend_job = util::Seconds{k.num("latency.suspend", lat.suspend_job.get())};
-  lat.resume_job = util::Seconds{k.num("latency.resume", lat.resume_job.get())};
-  lat.migrate_job = util::Seconds{k.num("latency.migrate", lat.migrate_job.get())};
-  lat.start_instance = util::Seconds{k.num("latency.start_instance", lat.start_instance.get())};
-
-  auto& sol = s.controller.solver;
-  sol.allow_migration = k.boolean("solver.allow_migration", sol.allow_migration);
-  sol.work_conserving = k.boolean("solver.work_conserving", sol.work_conserving);
-  sol.protect_completion_horizon_s =
-      k.num("solver.protect_completion_horizon_s", sol.protect_completion_horizon_s);
-  sol.instance_capacity_factor =
-      k.num("solver.instance_capacity_factor", sol.instance_capacity_factor);
-
-  s.jobs.count = k.integer("jobs.count", defaults.jobs.count);
-  s.jobs.mean_interarrival_s =
-      k.num("jobs.mean_interarrival_s", defaults.jobs.mean_interarrival_s);
-  s.jobs.tail_count = k.integer("jobs.tail_count", 0);
-  s.jobs.tail_mean_interarrival_s = k.num("jobs.tail_mean_interarrival_s", 0.0);
-  s.jobs.tmpl.work = util::MhzSeconds{k.num("jobs.work_mhz_s", defaults.jobs.tmpl.work.get())};
-  s.jobs.tmpl.work_cv = k.num("jobs.work_cv", defaults.jobs.tmpl.work_cv);
-  s.jobs.tmpl.max_speed =
-      util::CpuMhz{k.num("jobs.max_speed_mhz", defaults.jobs.tmpl.max_speed.get())};
-  s.jobs.tmpl.memory = util::MemMb{k.num("jobs.memory_mb", defaults.jobs.tmpl.memory.get())};
-  s.jobs.tmpl.goal_stretch = k.num("jobs.goal_stretch", defaults.jobs.tmpl.goal_stretch);
-  s.jobs.tmpl.importance = k.num("jobs.importance", defaults.jobs.tmpl.importance);
-  s.jobs.utility_shape = k.str("jobs.utility_shape", defaults.jobs.utility_shape);
-  s.jobs.tmpl.constraint = parse_constraint("jobs.constraint.");
-
-  // --- power & energy ---------------------------------------------------------
-  PowerSpec& pw = s.power;
-  pw.enabled = k.boolean("power.enabled", pw.enabled);
-  pw.policy = k.str("power.policy", pw.policy);
-  pw.check_interval_s = k.num("power.check_interval_s", pw.check_interval_s);
-  pw.idle_timeout_s = k.num("power.idle_timeout_s", pw.idle_timeout_s);
-  pw.headroom_factor = k.num("power.headroom_factor", pw.headroom_factor);
-  pw.min_active_nodes =
-      static_cast<int>(k.integer("power.min_active_nodes", pw.min_active_nodes));
-  pw.cap_w = k.num("power.cap_w", pw.cap_w);
-  pw.park_state = k.str("power.park_state", pw.park_state);
-  pw.active_w = k.num("power.active_w", pw.active_w);
-  pw.standby_w = k.num("power.standby_w", pw.standby_w);
-  pw.off_w = k.num("power.off_w", pw.off_w);
-  pw.park_latency_s = k.num("power.park_latency_s", pw.park_latency_s);
-  pw.wake_latency_s = k.num("power.wake_latency_s", pw.wake_latency_s);
-  pw.pstates = static_cast<int>(k.integer("power.pstates", pw.pstates));
-  validate_power_spec(pw);
-
-  // --- fault injection --------------------------------------------------------
-  FaultSpec& ft = s.faults;
-  ft.enabled = k.boolean("fault.enabled", ft.enabled);
-  ft.seed = static_cast<std::uint64_t>(k.integer("fault.seed", 0));
-  ft.until_s = k.num("fault.until_s", ft.until_s);
-  ft.checkpoint_interval_s = k.num("fault.checkpoint_interval_s", ft.checkpoint_interval_s);
-  ft.max_concurrent_repairs = static_cast<int>(
-      k.integer("fault.max_concurrent_repairs", ft.max_concurrent_repairs));
-  ft.node_mttf_s = k.num("fault.node_mttf_s", ft.node_mttf_s);
-  ft.node_mttr_s = k.num("fault.node_mttr_s", ft.node_mttr_s);
-  ft.link_mttf_s = k.num("fault.link_mttf_s", ft.link_mttf_s);
-  ft.link_mttr_s = k.num("fault.link_mttr_s", ft.link_mttr_s);
-  ft.domain_mttf_s = k.num("fault.domain_mttf_s", ft.domain_mttf_s);
-  ft.domain_mttr_s = k.num("fault.domain_mttr_s", ft.domain_mttr_s);
-  const auto n_fault_events = k.integer("fault.events", 0);
-  if (n_fault_events < 0 || n_fault_events > 4096) {
-    throw util::ConfigError("fault.events: out of range [0, 4096]");
-  }
-  for (long long i = 0; i < n_fault_events; ++i) {
-    const std::string p = "fault.event." + std::to_string(i) + ".";
-    FaultEventSpec e;
-    e.kind = k.str(p + "kind", e.kind);
-    // Link events name their source "from"; the other kinds "domain".
-    // Both spellings land in the same field; setting both is ambiguous.
-    const bool has_domain = k.has(p + "domain");
-    const bool has_from = k.has(p + "from");
-    if (has_domain && has_from) {
-      throw util::ConfigError(p + "domain and " + p + "from are both set; keep one");
-    }
-    const auto domain = k.integer(has_from ? p + "from" : p + "domain", 0);
-    if (domain < 0) throw util::ConfigError(p + "domain: must be nonnegative");
-    e.domain = static_cast<std::size_t>(domain);
-    const auto node = k.integer(p + "node", 0);
-    if (node < 0) throw util::ConfigError(p + "node: must be nonnegative");
-    e.node = static_cast<std::size_t>(node);
-    const auto to = k.integer(p + "to", 0);
-    if (to < 0) throw util::ConfigError(p + "to: must be nonnegative");
-    e.to = static_cast<std::size_t>(to);
-    e.at_s = k.num(p + "at_s", e.at_s);
-    e.duration_s = k.num(p + "duration_s", e.duration_s);
-    e.severity = k.num(p + "severity", e.severity);
-    ft.events.push_back(std::move(e));
-  }
-
-  // --- observability ----------------------------------------------------------
-  ObsSpec& ob = s.obs;
-  ob.trace = k.str("obs.trace", ob.trace);
-  ob.trace_path = k.str("obs.trace_path", ob.trace_path);
-  ob.trace_ring_capacity = static_cast<long>(
-      k.integer("obs.trace_ring_capacity", static_cast<long long>(ob.trace_ring_capacity)));
-  ob.trace_engine = k.boolean("obs.trace_engine", ob.trace_engine);
-  ob.metrics_path = k.str("obs.metrics_path", ob.metrics_path);
-  ob.metrics_json_path = k.str("obs.metrics_json_path", ob.metrics_json_path);
-  ob.profile = k.boolean("obs.profile", ob.profile);
-  if (!ob.trace_enabled()) {
-    for (const char* key : {"obs.trace_path", "obs.trace_ring_capacity", "obs.trace_engine"}) {
-      if (k.has(key)) {
-        throw util::ConfigError(std::string(key) + " has no effect with obs.trace=off");
-      }
-    }
-  } else if (ob.trace != "ring" && k.has("obs.trace_ring_capacity")) {
-    throw util::ConfigError("obs.trace_ring_capacity has no effect with obs.trace=" + ob.trace);
-  }
-  ob.audit = k.str("obs.audit", ob.audit);
-  ob.audit_path = k.str("obs.audit_path", ob.audit_path);
-  ob.audit_ring_capacity = static_cast<long>(
-      k.integer("obs.audit_ring_capacity", static_cast<long long>(ob.audit_ring_capacity)));
-  if (!ob.audit_enabled()) {
-    for (const char* key : {"obs.audit_path", "obs.audit_ring_capacity"}) {
-      if (k.has(key)) {
-        throw util::ConfigError(std::string(key) + " has no effect with obs.audit=off");
-      }
-    }
-  }
-  ob.sla_report_path = k.str("obs.sla_report_path", ob.sla_report_path);
-  ob.sla_report_csv_path = k.str("obs.sla_report_csv_path", ob.sla_report_csv_path);
-  validate_obs_spec(ob);
-
-  const auto n_apps = k.integer("apps", 1);
-  if (n_apps < 0 || n_apps > 64) throw util::ConfigError("apps: out of range [0, 64]");
-  const TxAppScenario& app_defaults = defaults.apps.front();
-  for (long long i = 0; i < n_apps; ++i) {
-    const std::string p = "app." + std::to_string(i) + ".";
-    TxAppScenario app;
-    app.spec = app_defaults.spec;
-    app.spec.id = util::AppId{static_cast<util::AppId::underlying_type>(i)};
-    app.spec.name = k.str(p + "name", n_apps == 1 ? "web" : "app" + std::to_string(i));
-    app.spec.rt_goal = util::Seconds{k.num(p + "rt_goal_s", app_defaults.spec.rt_goal.get())};
-    app.spec.service_demand =
-        k.num(p + "service_demand_mhz_s", app_defaults.spec.service_demand);
-    app.spec.importance = k.num(p + "importance", 1.0);
-    app.spec.instance_memory =
-        util::MemMb{k.num(p + "instance_memory_mb", app_defaults.spec.instance_memory.get())};
-    app.spec.min_instances =
-        static_cast<int>(k.integer(p + "min_instances", app_defaults.spec.min_instances));
-    app.spec.max_instances =
-        static_cast<int>(k.integer(p + "max_instances", s.cluster.total_nodes()));
-    app.spec.utility_cap = k.num(p + "utility_cap", app_defaults.spec.utility_cap);
-    app.spec.max_utilization = k.num(p + "max_utilization", app_defaults.spec.max_utilization);
-    app.spec.throughput_exponent =
-        k.num(p + "throughput_exponent", app_defaults.spec.throughput_exponent);
-    app.spec.max_cpu_per_instance = util::CpuMhz{s.cluster.max_node_cpu_mhz()};
-    app.spec.constraint = parse_constraint(p + "constraint.");
-    app.trace = workload::DemandTrace{k.num(p + "lambda", 24.0)};
-    s.apps.push_back(std::move(app));
-  }
-
-  // --- SLOs & burn-rate alerting ---------------------------------------------
-  // `slos = web,jobs` names the objectives; each is then described by
-  // slo.<name>.* keys. A name must be a tx app's name or the literal
-  // "jobs" (batch completion-ratio objective). Parsed after the apps so
-  // the name check sees the real app list.
-  const std::vector<std::string> slo_names = parse_tag_list(k.str("slos", ""), "slos");
-  for (const std::string& name : slo_names) {
-    const std::string p = "slo." + name + ".";
-    if (name != "jobs") {
-      bool known = false;
-      for (const TxAppScenario& app : s.apps) known = known || app.spec.name == name;
-      if (!known) {
-        throw util::ConfigError("slos: '" + name +
-                                "' is neither a tx app name nor the literal 'jobs'");
-      }
-    }
-    obs::SloSpec slo;
-    slo.app = name;
-    slo.target = k.num(p + "target", slo.target);
-    slo.long_window_s = k.num(p + "long_window_s", slo.long_window_s);
-    slo.short_window_s = k.num(p + "short_window_s", slo.short_window_s);
-    slo.burn_threshold = k.num(p + "burn_threshold", slo.burn_threshold);
-    if (!(slo.target > 0.0 && slo.target < 1.0)) {
-      throw util::ConfigError(p + "target: must be in (0, 1)");
-    }
-    if (slo.short_window_s <= 0.0 || slo.long_window_s < slo.short_window_s) {
-      throw util::ConfigError(p + "long_window_s/short_window_s: need 0 < short <= long");
-    }
-    if (slo.burn_threshold <= 0.0) {
-      throw util::ConfigError(p + "burn_threshold: must be positive");
-    }
-    s.slos.push_back(std::move(slo));
-  }
-
+  validate_fault_spec(s.faults, nodes_per_domain, s.migration.enabled, s.horizon_s);
+  r.reject_unknown();
   return s;
 }
 
-}  // namespace
-
 std::string scenario_to_config(const Scenario& s) {
-  std::ostringstream os;
-  const auto join = [](const std::vector<std::string>& tags) {
-    std::string out;
-    for (const auto& t : tags) {
-      if (!out.empty()) out += ",";
-      out += t;
-    }
-    return out;
-  };
-  const auto emit_constraint = [&os](const std::string& p, const cluster::ConstraintSet& c,
-                                     const auto& join_fn) {
-    if (!c.arch.empty()) os << p << "arch = " << c.arch << "\n";
-    if (!c.accel.empty()) os << p << "accel = " << join_fn(c.accel) << "\n";
-    if (c.min_core_mhz > 0.0) os << p << "min_core_mhz = " << c.min_core_mhz << "\n";
-  };
-  os << "name = " << s.name << "\n";
-  os << "seed = " << s.seed << "\n";
-  os << "horizon_s = " << s.horizon_s << "\n";
-  os << "sample_interval_s = " << s.sample_interval_s << "\n";
-  if (s.cluster.heterogeneous()) {
-    std::vector<std::string> names;
-    for (const auto& pool : s.cluster.classes) names.push_back(pool.klass.name);
-    os << "classes = " << join(names) << "\n";
-    for (const auto& pool : s.cluster.classes) {
-      const std::string p = "class." + pool.klass.name + ".";
-      if (!pool.klass.arch.empty()) os << p << "arch = " << pool.klass.arch << "\n";
-      os << p << "cores = " << pool.klass.cores << "\n";
-      os << p << "core_mhz = " << pool.klass.core_mhz << "\n";
-      os << p << "mem_mb = " << pool.klass.mem_mb << "\n";
-      os << p << "speed_factor = " << pool.klass.speed_factor << "\n";
-      if (!pool.klass.accel.empty()) os << p << "accel = " << join(pool.klass.accel) << "\n";
-      os << p << "count = " << pool.count << "\n";
-    }
-  } else {
-    os << "nodes = " << s.cluster.nodes << "\n";
-    os << "cpu_per_node_mhz = " << s.cluster.cpu_per_node_mhz << "\n";
-    os << "mem_per_node_mb = " << s.cluster.mem_per_node_mb << "\n";
+  if (!s.weight_events.empty()) {
+    throw util::ConfigError("weight_events: scheduled weight changes have no config key");
   }
-  os << "cycle_s = " << s.controller.cycle_s << "\n";
-  os << "jobs.count = " << s.jobs.count << "\n";
-  os << "jobs.mean_interarrival_s = " << s.jobs.mean_interarrival_s << "\n";
-  os << "jobs.work_mhz_s = " << s.jobs.tmpl.work.get() << "\n";
-  os << "jobs.work_cv = " << s.jobs.tmpl.work_cv << "\n";
-  os << "jobs.max_speed_mhz = " << s.jobs.tmpl.max_speed.get() << "\n";
-  os << "jobs.memory_mb = " << s.jobs.tmpl.memory.get() << "\n";
-  os << "jobs.goal_stretch = " << s.jobs.tmpl.goal_stretch << "\n";
-  os << "jobs.utility_shape = " << s.jobs.utility_shape << "\n";
-  emit_constraint("jobs.constraint.", s.jobs.tmpl.constraint, join);
-  os << "apps = " << s.apps.size() << "\n";
-  for (std::size_t i = 0; i < s.apps.size(); ++i) {
-    const auto& a = s.apps[i];
-    const std::string p = "app." + std::to_string(i) + ".";
-    os << p << "name = " << a.spec.name << "\n";
-    os << p << "lambda = " << a.trace.rate_at(util::Seconds{0.0}) << "\n";
-    os << p << "rt_goal_s = " << a.spec.rt_goal.get() << "\n";
-    os << p << "service_demand_mhz_s = " << a.spec.service_demand << "\n";
-    os << p << "importance = " << a.spec.importance << "\n";
-    os << p << "instance_memory_mb = " << a.spec.instance_memory.get() << "\n";
-    os << p << "min_instances = " << a.spec.min_instances << "\n";
-    os << p << "max_instances = " << a.spec.max_instances << "\n";
-    os << p << "utility_cap = " << a.spec.utility_cap << "\n";
-    os << p << "max_utilization = " << a.spec.max_utilization << "\n";
-    os << p << "throughput_exponent = " << a.spec.throughput_exponent << "\n";
-    emit_constraint(p + "constraint.", a.spec.constraint, join);
+  Writer w;
+  walk(w, s);
+  // Left out: inert keys, and keys holding the value that loading without
+  // them gives (the even domain split, unset link components).
+  std::set<std::string> skip;
+  for (const auto& entry : inert_keys(s)) skip.insert(entry.first);
+  Writer implied;
+  const int n = static_cast<int>(s.domains.size());
+  for (int i = 0; i < n; ++i) {
+    const DomainSpec share = domain_share(s.cluster, i, n);
+    walk_domain(implied, "domain." + std::to_string(i) + ".", share);
+  }
+  for (const LinkSpec& link : s.migration.links) {
+    const std::string pair = std::to_string(link.from) + "." + std::to_string(link.to);
+    implied("bandwidth." + pair, -1.0);
+    implied("link_latency." + pair, -1.0);
+  }
+  const std::map<std::string, std::string> defaults(implied.lines.begin(), implied.lines.end());
+  std::ostringstream os;
+  for (const auto& [key, value] : w.lines) {
+    const auto implied_value = defaults.find(key);
+    const bool implied_by_default =
+        implied_value != defaults.end() && implied_value->second == value;
+    if (skip.count(key) == 0 && !implied_by_default) {
+      os << key << " = " << value << "\n";
+    }
   }
   return os.str();
+}
+
+std::vector<std::string> scenario_config_keys() {
+  // One element per family; index segments print as <i>, then <j>.
+  Scenario s = config_defaults();
+  s.cluster.classes.resize(1);
+  s.cluster.classes[0].klass.name = "<name>";
+  s.slos.resize(1);
+  s.slos[0].app = "<name>";
+  s.faults.events.resize(1);
+  s.domains = {domain_share(s.cluster, 0, 1)};
+  s.migration.links.resize(1);
+  s.migration.uplinks.resize(1);
+  Writer w;
+  walk(w, s);
+  std::vector<std::string> keys;
+  for (const auto& line : w.lines) {
+    std::string key;
+    std::istringstream parts(line.first);
+    for (std::string part; std::getline(parts, part, '.');) {
+      if (part.find_first_not_of("0123456789") == std::string::npos) {
+        part = key.find("<i>") == std::string::npos ? "<i>" : "<j>";
+      }
+      key += (key.empty() ? "" : ".") + part;
+    }
+    keys.push_back(key);
+  }
+  return keys;
 }
 
 }  // namespace heteroplace::scenario

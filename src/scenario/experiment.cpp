@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "scenario/fault_factory.hpp"
 #include "scenario/federation_experiment.hpp"
 
 namespace heteroplace::scenario {
@@ -41,16 +40,11 @@ int effective_engine_threads(int configured) {
 }
 
 ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOptions& options) {
-  // A single world cannot express link or domain faults; reject them
-  // under the single-world rules before the 1-domain federation (which
-  // could express domain faults) sees the spec.
-  if (scenario.faults.enabled) {
-    const double horizon =
-        options.horizon_override_s > 0.0 ? options.horizon_override_s : scenario.horizon_s;
-    validate_fault_spec(scenario.faults, {static_cast<std::size_t>(scenario.cluster.total_nodes())},
-                        /*federated=*/false, /*migration_enabled=*/false, horizon);
+  if (scenario.domains.size() > 1) {
+    throw std::invalid_argument("run_experiment: more than one domain; use "
+                                "run_federated_experiment");
   }
-  FederatedResult fed = run_federated_experiment(federate(scenario, 1), options);
+  FederatedResult fed = run_federated_experiment(scenario, options);
 
   // Project the 1-domain federation onto the single-world result: the
   // domain's own series plus the federation-level series whose single

@@ -1,8 +1,8 @@
 #pragma once
 
-// Single-cluster experiments. run_experiment runs a Scenario as the
-// 1-domain federation (scenario/federation_experiment.hpp holds the one
-// runner) and projects the result onto one world's series + summary.
+// Single-cluster experiments. run_experiment runs a one-domain Scenario
+// through the one runner (scenario/federation_experiment.hpp) and
+// projects the result onto one world's series + summary.
 
 #include <functional>
 #include <memory>
@@ -63,13 +63,14 @@ struct ExperimentResult {
 /// change any expected output.
 [[nodiscard]] int effective_engine_threads(int configured);
 
-/// Run `scenario` under `options` as run_federated_experiment(federate(
-/// scenario, 1), options). The result is domain 0's series and summary,
+/// Run a one-domain `scenario` under `options` through
+/// run_federated_experiment. The result is domain 0's series and summary,
 /// plus the federation-level power and fault series under their
 /// single-world names (fed_power_w -> power_w, fed_availability ->
 /// availability, ...). Observability output is the 1-domain federation's:
 /// the world is trace process "dc0" and its metrics carry domain="dc0".
-/// Deterministic for a fixed (scenario.seed, options) pair.
+/// Deterministic for a fixed (scenario.seed, options) pair. Throws
+/// std::invalid_argument for a scenario with more than one domain.
 [[nodiscard]] ExperimentResult run_experiment(const Scenario& scenario,
                                               const ExperimentOptions& options = {});
 

@@ -31,7 +31,7 @@ void check_rate_pair(const std::string& prefix, double mttf, double mttr) {
 }  // namespace
 
 void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& nodes_per_domain,
-                         bool federated, bool migration_enabled, double horizon_s) {
+                         bool migration_enabled, double horizon_s) {
   if (!spec.enabled) return;
   if (spec.checkpoint_interval_s < 0.0) {
     throw util::ConfigError("fault.checkpoint_interval_s: must be nonnegative (0 = continuous)");
@@ -120,7 +120,7 @@ void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& 
     windows.emplace_back(start, end);
   }
 
-  if (any_link && !federated) {
+  if (any_link && n_domains < 2) {
     throw util::ConfigError("fault.link_*: link faults need a federated run (domains >= 2)");
   }
   if (any_link && !migration_enabled) {
@@ -128,8 +128,9 @@ void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& 
         "fault.link_*: link faults need migration.enabled = true (links belong to the "
         "migration subsystem)");
   }
-  if (any_domain && !federated) {
-    throw util::ConfigError("fault.domain_*: domain blackouts need a federated run");
+  if (any_domain && n_domains < 2) {
+    throw util::ConfigError(
+        "fault.domain_*: domain blackouts need a federated run (domains >= 2)");
   }
 }
 

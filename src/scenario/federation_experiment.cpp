@@ -102,60 +102,25 @@ void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains) {
   }
 }
 
-FederatedScenario federated_shell(const Scenario& single) {
-  FederatedScenario fs;
-  fs.name = single.name;
-  fs.apps = single.apps;
-  fs.jobs = single.jobs;
-  fs.controller = single.controller;
-  fs.power = single.power;
-  fs.faults = single.faults;
-  fs.obs = single.obs;
-  fs.slos = single.slos;
-  fs.horizon_s = single.horizon_s;
-  fs.sample_interval_s = single.sample_interval_s;
-  fs.seed = single.seed;
-  fs.engine_threads = single.engine_threads;
-  return fs;
-}
-
-FederatedScenario federate(const Scenario& single, int n_domains, const std::string& router) {
+Scenario federate(const Scenario& single, int n_domains, const std::string& router) {
   if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
-  FederatedScenario fs = federated_shell(single);
+  Scenario fs = single;
   if (n_domains > 1) fs.name += "-federated";
   fs.router = router;
-
-  const int base = single.cluster.nodes / n_domains;
-  const int remainder = single.cluster.nodes % n_domains;
+  fs.domains.clear();
   for (int i = 0; i < n_domains; ++i) {
-    DomainSpec d;
-    d.name = "dc" + std::to_string(i);
-    d.cluster = single.cluster;
-    if (single.cluster.heterogeneous()) {
-      // Split each class pool evenly, remainder to the earliest domains
-      // (the same rule the scalar node split uses).
-      for (ClassPoolSpec& pool : d.cluster.classes) {
-        const int pool_base = pool.count / n_domains;
-        const int pool_rem = pool.count % n_domains;
-        pool.count = pool_base + (i < pool_rem ? 1 : 0);
-      }
-      if (d.cluster.total_nodes() < 1) {
-        throw std::invalid_argument("federate: more domains than nodes");
-      }
-    } else {
-      d.cluster.nodes = base + (i < remainder ? 1 : 0);
-      if (d.cluster.nodes < 1) throw std::invalid_argument("federate: more domains than nodes");
+    fs.domains.push_back(domain_share(single.cluster, i, n_domains));
+    if (fs.domains.back().cluster.total_nodes() < 1) {
+      throw std::invalid_argument("federate: more domains than nodes");
     }
-    fs.domains.push_back(std::move(d));
   }
   return fs;
 }
 
-FederatedResult run_federated_experiment(const FederatedScenario& fs,
-                                         const ExperimentOptions& options) {
-  if (fs.domains.empty()) {
-    throw std::invalid_argument("run_federated_experiment: no domains");
-  }
+FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOptions& options) {
+  // An empty `domains` is one domain, dc0, holding the whole cluster.
+  const std::vector<DomainSpec> whole_cluster{domain_share(fs.cluster, 0, 1)};
+  const std::vector<DomainSpec>& domains = fs.domains.empty() ? whole_cluster : fs.domains;
   sim::Engine engine;
   engine.set_threads(static_cast<unsigned>(effective_engine_threads(fs.engine_threads)));
   std::vector<std::unique_ptr<power::PowerManager>> power_mgrs;
@@ -178,8 +143,8 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   // --- domains ----------------------------------------------------------------
   core::ControllerConfig ctrl_cfg;
   ctrl_cfg.cycle = util::Seconds{fs.controller.cycle_s};
-  for (std::size_t i = 0; i < fs.domains.size(); ++i) {
-    const DomainSpec& spec = fs.domains[i];
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    const DomainSpec& spec = domains[i];
     // Domain 0 uses the scenario's base noise seed (the stream
     // single-cluster runs have always seen); later domains get
     // independent streams.
@@ -306,7 +271,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
     for (std::size_t i = 0; i < fed.domain_count(); ++i) {
       power_mgrs.push_back(make_power_manager(engine, fed.domain(i).world(), fs.power,
                                               fs.controller.cycle_s,
-                                              fs.domains[i].power_cap_w,
+                                              domains[i].power_cap_w,
                                               static_cast<sim::ShardId>(i)));
       if (obs.any()) {
         power_mgrs.back()->set_obs(
@@ -324,11 +289,10 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   std::unique_ptr<faults::FaultInjector> injector;
   if (fs.faults.enabled) {
     std::vector<std::size_t> nodes_per_domain;
-    for (const DomainSpec& d : fs.domains) {
+    for (const DomainSpec& d : domains) {
       nodes_per_domain.push_back(static_cast<std::size_t>(d.cluster.total_nodes()));
     }
-    validate_fault_spec(fs.faults, nodes_per_domain, /*federated=*/true, fs.migration.enabled,
-                        horizon);
+    validate_fault_spec(fs.faults, nodes_per_domain, fs.migration.enabled, horizon);
     faults::FaultOptions fault_opts;
     fault_opts.checkpoint_interval_s = fs.faults.checkpoint_interval_s;
     fault_opts.max_concurrent_repairs = fs.faults.max_concurrent_repairs;

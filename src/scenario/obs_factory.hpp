@@ -61,8 +61,8 @@ struct Observability {
 
 /// Validates, then constructs exactly the enabled pieces (a spec with
 /// any() == false and no SLOs yields an empty bundle). `slos` come from
-/// Scenario::slos / FederatedScenario::slos; any entry enables the SLA
-/// ledger and the alert engine (bound to the trace/metrics here).
+/// Scenario::slos; any entry enables the SLA ledger and the alert engine
+/// (bound to the trace/metrics here).
 [[nodiscard]] Observability make_observability(const ObsSpec& spec,
                                                const std::vector<obs::SloSpec>& slos = {});
 

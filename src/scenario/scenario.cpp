@@ -19,6 +19,21 @@ double ClusterSpec::max_node_cpu_mhz() const {
   return best;
 }
 
+DomainSpec domain_share(const ClusterSpec& fleet, int index, int n_domains) {
+  const auto share = [&](int count) {
+    return count / n_domains + (index < count % n_domains ? 1 : 0);
+  };
+  DomainSpec d;
+  d.name = "dc" + std::to_string(index);
+  d.cluster = fleet;
+  if (fleet.heterogeneous()) {
+    for (ClassPoolSpec& pool : d.cluster.classes) pool.count = share(pool.count);
+  } else {
+    d.cluster.nodes = share(fleet.nodes);
+  }
+  return d;
+}
+
 Scenario section3_scenario() {
   Scenario s;
   s.name = "section3";

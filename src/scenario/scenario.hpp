@@ -5,6 +5,7 @@
 // for the paper's Section 3 evaluation (and scaled-down variants used in
 // tests and fast ablations).
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -189,6 +190,88 @@ struct ObsSpec {
   }
 };
 
+/// One controller domain's shard of the federation.
+struct DomainSpec {
+  std::string name{"domain"};
+  ClusterSpec cluster;
+  /// First control evaluation for this domain's controller; < 0 means
+  /// auto-stagger (index × cycle / domain_count, domain 0 at phase 0).
+  double first_cycle_at_s{-1.0};
+  /// Per-domain power-cap override in watts; < 0 inherits the federation
+  /// spec's power.cap_w (0 there = uncapped).
+  double power_cap_w{-1.0};
+};
+
+/// Scheduled health change: at `at_s`, set the domain's router weight
+/// (brownout < 1, drain = 0, recovery = 1). The router re-splits every
+/// app's demand under the new weights immediately.
+struct WeightEvent {
+  std::size_t domain{0};
+  double at_s{0.0};
+  double weight{1.0};
+};
+
+/// One directed inter-domain link override for the TransferModel. A
+/// component left at exactly -1.0 (the "unset" default) keeps the model
+/// default; any other negative value is rejected by
+/// validate_migration_spec. Bandwidths are MB/s.
+struct LinkSpec {
+  std::size_t from{0};
+  std::size_t to{0};
+  double bandwidth_mb_per_s{-1.0};
+  double latency_s{-1.0};
+};
+
+/// Shared-uplink capacity override for one domain (uplink link mode).
+struct UplinkSpec {
+  std::size_t domain{0};
+  double bandwidth_mb_per_s{0.0};
+};
+
+/// Live-migration subsystem configuration. Disabled by default: a
+/// migration-disabled run takes exactly the pre-migration code path and
+/// reproduces its output bit for bit (pinned by tests/migration_test.cpp).
+struct MigrationSpec {
+  bool enabled{false};
+  /// "drain", "rebalance", or "drain+rebalance".
+  std::string policy{"drain"};
+  double check_interval_s{60.0};
+  int max_moves_per_tick{8};
+  double high_watermark{1.1};
+  double low_watermark{0.8};
+  /// Link contention granularity: "p2p" (per ordered domain pair) or
+  /// "uplink" (one shared pool per source domain).
+  std::string link_mode{"p2p"};
+  /// Movable-job ordering: "fifo" (list order, the pre-cost-aware
+  /// behavior) or "cost" (image/remaining-work/SLA-slack ranking).
+  std::string selection{"fifo"};
+  /// Rebalance congestion guard: skip sources with this many outbound
+  /// transfers already queued (0 = no guard; see PolicyConfig).
+  int max_queued_transfers{0};
+  /// Link-fault resilience (see MigrationOptions): retry budget and the
+  /// capped exponential backoff for transfers killed by a link fault.
+  int max_transfer_retries{3};
+  double retry_backoff_s{30.0};
+  double retry_backoff_max_s{480.0};
+  /// Re-rank queued transfers cheapest-image-first when a link pool backs
+  /// up. Off by default (FIFO order is part of the pinned behavior).
+  bool rescore_queued_transfers{false};
+  /// Defer destination attaches to just before the destination
+  /// controller's next cycle so that cycle plans the job (see
+  /// MigrationOptions::align_attach). Off by default (immediate attach
+  /// is part of the pinned behavior).
+  bool align_attach{false};
+  double default_bandwidth_mb_per_s{125.0};
+  double default_latency_s{2.0};
+  std::vector<LinkSpec> links;
+  std::vector<UplinkSpec> uplinks;
+};
+
+/// Everything one run needs. `cluster` is the fleet as written;
+/// `domains` is its split into controller domains. An empty `domains`
+/// means one domain, dc0, holding `cluster` (the builders below leave it
+/// empty, so a test may edit `cluster` after building); federate() and
+/// the config loader fill it.
 struct Scenario {
   std::string name{"scenario"};
   ClusterSpec cluster;
@@ -210,7 +293,20 @@ struct Scenario {
   /// serial reference; N > 1 runs same-timestamp per-domain event
   /// batches on a worker pool, bit-identical to 1 by construction.
   int engine_threads{1};
+  std::vector<DomainSpec> domains;
+  /// Router choice: "least-loaded", "capacity-weighted", or "sticky".
+  std::string router{"least-loaded"};
+  /// Scheduled router-weight changes. No config key expresses them, so
+  /// scenario_to_config rejects a scenario that has any.
+  std::vector<WeightEvent> weight_events;
+  MigrationSpec migration;
 };
+
+/// Domain `index` of the even split of `fleet` into `n_domains`: named
+/// dc<index>, with the node count (or each class pool) divided evenly and
+/// the remainder going to the earliest domains. A share may hold zero
+/// nodes; callers decide whether that is an error.
+[[nodiscard]] DomainSpec domain_share(const ClusterSpec& fleet, int index, int n_domains);
 
 /// The paper's Section 3 experiment: 25 nodes × 4 × 3000 MHz, 800
 /// identical jobs (exponential inter-arrival, mean 260 s), 3 job VMs max

@@ -136,13 +136,13 @@ TEST(FederationEquivalence, OneDomainMatchesUnderNoisyMonitoring) {
   require_same_series(fed.domains[0].result.series, single.series, "tx_alloc_mhz");
 }
 
-// federate() carries SLOs into the shards, so a single-world SLO run (which
-// goes through federate(s, 1)) keeps its alerts.
+// federate() copies the whole scenario, SLOs included, so a sharded SLO
+// run keeps its alerts.
 TEST(FederationEquivalence, FederateKeepsSlos) {
   auto s = mid_scenario();
   s.slos.push_back({"web", 0.9, 7200.0, 1200.0, 1.0});
   s.slos.push_back({"jobs", 0.5, 14400.0, 3600.0, 1.5});
-  const scenario::FederatedScenario fs = scenario::federate(s, 3);
+  const scenario::Scenario fs = scenario::federate(s, 3);
   ASSERT_EQ(fs.slos.size(), s.slos.size());
   for (std::size_t i = 0; i < s.slos.size(); ++i) {
     EXPECT_EQ(fs.slos[i].app, s.slos[i].app);
@@ -161,7 +161,7 @@ const scenario::FederatedResult& three_domain_run() {
   static const scenario::FederatedResult r = [] {
     // Skewed load: 3 unequal domains (the federate() split of 5 nodes is
     // 2/2/1) under the mid-scenario's crowding job stream.
-    scenario::FederatedScenario fs = scenario::federate(mid_scenario(), 3);
+    scenario::Scenario fs = scenario::federate(mid_scenario(), 3);
     scenario::ExperimentOptions opt;
     opt.validate_invariants = true;
     opt.max_sim_time_s = 2.0e6;
@@ -415,7 +415,7 @@ TEST(FederationIntegration, ExplicitZeroPhaseOffsetIsHonored) {
   // first_cycle_at_s = 0 is an explicit phase request, not "unset": the
   // domain must fire at t=0 in phase with domain 0 instead of being
   // auto-staggered.
-  scenario::FederatedScenario fs = scenario::federate(mid_scenario(), 3);
+  scenario::Scenario fs = scenario::federate(mid_scenario(), 3);
   fs.domains[1].first_cycle_at_s = 0.0;
   scenario::ExperimentOptions opt;
   opt.horizon_override_s = 5000.0;
@@ -465,7 +465,7 @@ TEST(Routers, FactoryRejectsUnknownNames) {
 TEST(FederationIntegration, DrainedStickyDomainHostsNothingUntilRecovery) {
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
-  scenario::FederatedScenario fs = scenario::federate(base, 3, "sticky");
+  scenario::Scenario fs = scenario::federate(base, 3, "sticky");
   fs.weight_events.push_back({1, 12000.0, 0.0});
   fs.weight_events.push_back({1, 30000.0, 1.0});
   fs.migration.enabled = true;

@@ -59,11 +59,11 @@ scenario::Scenario scalar_single_scenario() {
   return s;
 }
 
-scenario::FederatedScenario scalar_federated_scenario() {
+scenario::Scenario scalar_federated_scenario() {
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
   base.horizon_s = 40000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   for (auto& d : fs.domains) d.first_cycle_at_s = 0.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain+rebalance";
@@ -445,7 +445,7 @@ TEST(MachineClassConfig, FederatedDomainClassCountOverride) {
       "domains = 2\n"
       "domain.0.class.gpu.count = 2\n"
       "domain.1.class.gpu.count = 0\n");
-  const auto fs = scenario::federated_scenario_from_config(cfg);
+  const auto fs = scenario::scenario_from_config(cfg);
   ASSERT_EQ(fs.domains.size(), 2u);
   // Pools sort by name (arm, gpu, x86). Even split of arm (3 → 2+1) and
   // x86 (4 → 2+2); gpu placed entirely in domain 0 by the override.
@@ -498,6 +498,6 @@ TEST(MachineClassConfig, FederatedScalarDomainKeysRejectedWithClasses) {
       hetero_config_text() +
       "domains = 2\n"
       "domain.0.nodes = 3\n");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(cfg),
+  EXPECT_THROW((void)scenario::scenario_from_config(cfg),
                util::ConfigError);
 }

@@ -495,10 +495,10 @@ TEST(MigrationIntegration, UplinkModeSerializesAnEvacuationP2pDoesNot) {
 
 namespace {
 
-scenario::FederatedScenario drain_scenario() {
+scenario::Scenario drain_scenario() {
   auto base = scenario::section3_scaled(0.2);  // 5 nodes, 160 jobs
   base.seed = 42;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   fs.weight_events.push_back({0, 15000.0, 0.0});
   fs.weight_events.push_back({0, 35000.0, 1.0});
   fs.migration.enabled = true;
@@ -601,8 +601,8 @@ TEST(MigrationScenario, DisabledRunsAreBitIdenticalToEnabledIdleRuns) {
   // "migration disabled == pre-migration output" from the other side.
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
-  scenario::FederatedScenario off = scenario::federate(base, 3);
-  scenario::FederatedScenario idle = off;
+  scenario::Scenario off = scenario::federate(base, 3);
+  scenario::Scenario idle = off;
   idle.migration.enabled = true;
   idle.migration.policy = "drain";
 
@@ -645,7 +645,7 @@ TEST(MigrationScenario, ConfigKeysRoundTripThroughLoader) {
   cfg.set("migration.align_attach", "true");
   cfg.set("bandwidth.0.1", "500");
   cfg.set("link_latency.2.0", "9.5");
-  const auto fs = scenario::federated_scenario_from_config(cfg);
+  const auto fs = scenario::scenario_from_config(cfg);
   EXPECT_TRUE(fs.migration.enabled);
   EXPECT_EQ(fs.migration.policy, "drain+rebalance");
   EXPECT_TRUE(fs.migration.align_attach);
@@ -669,7 +669,7 @@ TEST(MigrationScenario, ConfigKeysRoundTripThroughLoader) {
   up.set("migration.link_mode", "uplink");
   up.set("uplink_bandwidth.1", "75");
   up.set("link_latency.1.0", "3.5");
-  const auto ufs = scenario::federated_scenario_from_config(up);
+  const auto ufs = scenario::scenario_from_config(up);
   EXPECT_EQ(ufs.migration.link_mode, "uplink");
   ASSERT_EQ(ufs.migration.uplinks.size(), 1u);
   EXPECT_EQ(ufs.migration.uplinks[0].domain, 1u);
@@ -679,7 +679,7 @@ TEST(MigrationScenario, ConfigKeysRoundTripThroughLoader) {
 
   util::Config bad;
   bad.set("migration.policy", "teleport");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(bad), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(bad), util::ConfigError);
 }
 
 TEST(MigrationScenario, ModeInapplicableLinkKeysAreRejected) {
@@ -688,7 +688,7 @@ TEST(MigrationScenario, ModeInapplicableLinkKeysAreRejected) {
   util::Config up_in_p2p;
   up_in_p2p.set("domains", "2");
   up_in_p2p.set("uplink_bandwidth.0", "20");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(up_in_p2p), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(up_in_p2p), util::ConfigError);
 
   // ...and per-pair bandwidth is meaningless against a shared pool
   // (per-pair latency remains valid there).
@@ -696,7 +696,7 @@ TEST(MigrationScenario, ModeInapplicableLinkKeysAreRejected) {
   pair_in_uplink.set("domains", "2");
   pair_in_uplink.set("migration.link_mode", "uplink");
   pair_in_uplink.set("bandwidth.0.1", "500");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(pair_in_uplink),
+  EXPECT_THROW((void)scenario::scenario_from_config(pair_in_uplink),
                util::ConfigError);
 }
 
@@ -704,7 +704,7 @@ TEST(MigrationScenario, RemovedBandwidthAliasIsAnUnknownKey) {
   util::Config cfg;
   cfg.set("migration.default_bandwidth_mbps", "250");
   try {
-    (void)scenario::federated_scenario_from_config(cfg);
+    (void)scenario::scenario_from_config(cfg);
     FAIL() << "removed alias accepted";
   } catch (const util::ConfigError& e) {
     EXPECT_EQ(std::string(e.what()),
@@ -730,12 +730,12 @@ TEST(MigrationScenario, LoaderAndRunnerShareOneValidator) {
   };
   for (const auto& [text, link] : cases) {
     const std::string loaded = message_of([&] {
-      (void)scenario::federated_scenario_from_config(
+      (void)scenario::scenario_from_config(
           util::Config::from_string(std::string("nodes = 4\ndomains = 2\n") + text));
     });
     auto base = scenario::section3_scaled(0.2);
     base.horizon_s = 600.0;
-    scenario::FederatedScenario fs = scenario::federate(base, 2);
+    scenario::Scenario fs = scenario::federate(base, 2);
     fs.migration.enabled = true;
     fs.migration.links.push_back(link);
     const std::string ran = message_of([&] { (void)scenario::run_federated_experiment(fs); });
@@ -743,7 +743,7 @@ TEST(MigrationScenario, LoaderAndRunnerShareOneValidator) {
     EXPECT_EQ(loaded, ran) << text;
   }
   EXPECT_EQ(message_of([] {
-              (void)scenario::federated_scenario_from_config(
+              (void)scenario::scenario_from_config(
                   util::Config::from_string("domains = 2\nbandwidth.0.1 = -400\n"));
             }),
             "bandwidth.0.1: must be positive");
@@ -754,7 +754,7 @@ TEST(MigrationScenario, LoaderAndRunnerShareOneValidator) {
     util::Config cfg;
     cfg.set("domains", "2");
     cfg.set(key, "5");
-    EXPECT_EQ(message_of([&] { (void)scenario::federated_scenario_from_config(cfg); }),
+    EXPECT_EQ(message_of([&] { (void)scenario::scenario_from_config(cfg); }),
               std::string("unknown scenario config key: '") + key + "'");
   }
 }
@@ -762,17 +762,17 @@ TEST(MigrationScenario, LoaderAndRunnerShareOneValidator) {
 TEST(MigrationScenario, LinkModeAndSelectionKeysAreValidated) {
   util::Config mode;
   mode.set("migration.link_mode", "wormhole");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(mode), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(mode), util::ConfigError);
 
   util::Config sel;
   sel.set("migration.selection", "random");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(sel), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(sel), util::ConfigError);
 
   util::Config uplink;
   uplink.set("domains", "2");
   uplink.set("migration.link_mode", "uplink");
   uplink.set("uplink_bandwidth.0", "-10");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(uplink), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(uplink), util::ConfigError);
 }
 
 TEST(MigrationIntegration, RebalanceMovesPendingJobsInstantly) {
@@ -816,12 +816,12 @@ TEST(MigrationScenario, NegativeLinkOverridesFailLoudly) {
   util::Config bw;
   bw.set("domains", "2");
   bw.set("bandwidth.0.1", "-400");  // sign typo must not read as "unset"
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(bw), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(bw), util::ConfigError);
 
   util::Config lat;
   lat.set("domains", "2");
   lat.set("link_latency.1.0", "-3");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(lat), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(lat), util::ConfigError);
 }
 
 TEST(CompositePolicy, RebalanceSeesDrainStageLoadShifts) {
@@ -898,14 +898,14 @@ TEST(RebalancePolicy, CongestionGuardSkipsBackedUpSources) {
 TEST(MigrationScenario, MaxQueuedTransfersKeyRoundTripsAndValidates) {
   util::Config cfg;
   cfg.set("migration.max_queued_transfers", "6");
-  EXPECT_EQ(scenario::federated_scenario_from_config(cfg).migration.max_queued_transfers, 6);
-  EXPECT_EQ(scenario::federated_scenario_from_config(util::Config{})
+  EXPECT_EQ(scenario::scenario_from_config(cfg).migration.max_queued_transfers, 6);
+  EXPECT_EQ(scenario::scenario_from_config(util::Config{})
                 .migration.max_queued_transfers,
             0);  // default: guard off
 
   util::Config bad;
   bad.set("migration.max_queued_transfers", "-1");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(bad), util::ConfigError);
+  EXPECT_THROW((void)scenario::scenario_from_config(bad), util::ConfigError);
 }
 
 TEST(MigrationIntegration, RecoveryMidEvacuationCancelsQueuedTransfersAndJobsStayPut) {

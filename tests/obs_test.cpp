@@ -1,7 +1,7 @@
 // Observability layer tests: trace recorder ring bounding and Chrome
 // JSON export, trace mode parsing, the metrics registry (counter /
 // gauge / histogram semantics, Prometheus text round-trip, JSON
-// snapshot), fail-loud obs.* spec validation in both config loaders,
+// snapshot), fail-loud obs.* spec validation in the config loader,
 // and the invariance contracts the tentpole promises — an obs-enabled
 // run is digest-identical to an obs-off run (single-world and
 // federated, serial and parallel), and the recorded trace file is
@@ -282,7 +282,7 @@ TEST(ObsSpecValidation, FailsLoudly) {
   EXPECT_FALSE(scenario::make_observability(spec).any());
 }
 
-TEST(ObsConfig, KeysParseIntoBothLoaders) {
+TEST(ObsConfig, KeysParseForOneAndManyDomains) {
   const std::string trace_path = temp_path("cfg_trace.json");
   const std::string cfg_text = "obs.trace = ring\nobs.trace_ring_capacity = 1024\n"
                                "obs.trace_path = " + trace_path + "\n"
@@ -294,7 +294,7 @@ TEST(ObsConfig, KeysParseIntoBothLoaders) {
   EXPECT_TRUE(s.obs.trace_engine);
   EXPECT_TRUE(s.obs.profile);
 
-  const auto fs = scenario::federated_scenario_from_config(
+  const auto fs = scenario::scenario_from_config(
       util::Config::from_string("domains = 2\n" + cfg_text));
   EXPECT_EQ(fs.obs.trace, "ring");
   EXPECT_TRUE(fs.obs.profile);
@@ -328,11 +328,11 @@ namespace {
 /// Small federated scenario with every subsystem on and aligned control
 /// phases, so the parallel engine really batches and every trace lane
 /// (controller, executor, router, migration, power, faults) emits.
-scenario::FederatedScenario everything_on_scenario() {
+scenario::Scenario everything_on_scenario() {
   auto base = scenario::section3_scaled(0.2);  // 5 nodes
   base.seed = 42;
   base.horizon_s = 30000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   for (auto& d : fs.domains) d.first_cycle_at_s = 0.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain+rebalance";

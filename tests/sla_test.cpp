@@ -2,7 +2,7 @@
 // deterministic bucket quantiles, the SlaLedger's wake metering and tx
 // sample accounting, the AlertEngine's multiwindow burn-rate open/close,
 // the AuditLog ring and its JSON dump, slo.* / obs.audit* config parsing
-// in both loaders, and the tentpole contracts — every completed job's
+// for one and many domains, and the tentpole contracts — every completed job's
 // attribution closes (asserted in-binary, re-checked here from the JSON),
 // the SLA report and audit dump are byte-identical across engine thread
 // counts, and a fully-instrumented run stays digest-identical to an
@@ -215,7 +215,7 @@ TEST(AuditLog, RingBoundsDropsAndRendersJson) {
 
 // --- config surface ----------------------------------------------------------
 
-TEST(SlaConfig, SloAndAuditKeysParseIntoBothLoaders) {
+TEST(SlaConfig, SloAndAuditKeysParseForOneAndManyDomains) {
   const std::string sla_path = temp_path("cfg_sla.json");
   const std::string audit_path = temp_path("cfg_audit.json");
   const std::string cfg_text = "slos = web,jobs\n"
@@ -248,7 +248,7 @@ TEST(SlaConfig, SloAndAuditKeysParseIntoBothLoaders) {
   EXPECT_EQ(s.obs.audit_ring_capacity, 512);
   EXPECT_EQ(s.obs.audit_path, audit_path);
 
-  const auto fs = scenario::federated_scenario_from_config(
+  const auto fs = scenario::scenario_from_config(
       util::Config::from_string("domains = 2\n" + cfg_text));
   ASSERT_EQ(fs.slos.size(), 2u);
   EXPECT_EQ(fs.obs.audit, "ring");
@@ -284,11 +284,11 @@ namespace {
 
 /// Same shape as obs_test's everything-on scenario (every subsystem live,
 /// aligned phases so parallel batches really form), plus SLOs and audit.
-scenario::FederatedScenario everything_on_sla_scenario() {
+scenario::Scenario everything_on_sla_scenario() {
   auto base = scenario::section3_scaled(0.2);  // 5 nodes
   base.seed = 42;
   base.horizon_s = 30000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   for (auto& d : fs.domains) d.first_cycle_at_s = 0.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain+rebalance";
