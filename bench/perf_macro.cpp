@@ -71,7 +71,7 @@ struct Shape {
 };
 
 Shape full_shape() { return {"full", 100, 50, 1'000'000, 604800.0, {1, 2, 4}}; }
-Shape smoke_shape() { return {"smoke", 8, 10, 20'000, 86400.0, {1, 2}}; }
+Shape smoke_shape() { return {"smoke", 8, 10, 20'000, 86400.0, {1, 2, 4}}; }
 
 /// Four transactional classes with phase-shifted diurnal demand. Hourly
 /// breakpoints over the horizon; aggregate offered CPU ≈ 10% of the

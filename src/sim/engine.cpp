@@ -91,21 +91,25 @@ bool Engine::step() {
   assert(time >= now_);
   now_ = time;
   ++executed_;
+  dispatch_serial(callback, time, priority);
+  return true;
+}
+
+void Engine::dispatch_serial(const EventCallback& callback, double time, int priority) {
   util::set_log_context(time, util::kLogNoShard);
   if (observer_ != nullptr) observer_->on_serial_event(time, priority);
-  if (timing_enabled_) {
-    const auto t0 = std::chrono::steady_clock::now();
+  if (!timing_enabled_) {
     if (callback) callback();
-    const std::uint64_t ns = elapsed_ns(t0);
-    const int c = priority_class_index(priority);
-    ++timing_.serial_events;
-    timing_.serial_ns += ns;
-    ++timing_.serial_class_events[static_cast<std::size_t>(c)];
-    timing_.serial_class_ns[static_cast<std::size_t>(c)] += ns;
-  } else {
-    if (callback) callback();
+    return;
   }
-  return true;
+  const auto t0 = std::chrono::steady_clock::now();
+  if (callback) callback();
+  const std::uint64_t ns = elapsed_ns(t0);
+  const auto c = static_cast<std::size_t>(priority_class_index(priority));
+  ++timing_.serial_events;
+  timing_.serial_ns += ns;
+  ++timing_.serial_class_events[c];
+  timing_.serial_class_ns[c] += ns;
 }
 
 bool Engine::parallel_step(double bound) {
@@ -121,20 +125,7 @@ bool Engine::parallel_step(double bound) {
   executed_ += n;
   if (n == 1) {
     // Single sharded event: pop_batch already released it serial-style.
-    util::set_log_context(key.time, util::kLogNoShard);
-    if (observer_ != nullptr) observer_->on_serial_event(key.time, key.priority_bits);
-    if (timing_enabled_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      if (batch_cbs_[0]) batch_cbs_[0]();
-      const std::uint64_t ns = elapsed_ns(t0);
-      const int c = priority_class_index(key.priority_bits);
-      ++timing_.serial_events;
-      timing_.serial_ns += ns;
-      ++timing_.serial_class_events[static_cast<std::size_t>(c)];
-      timing_.serial_class_ns[static_cast<std::size_t>(c)] += ns;
-    } else {
-      if (batch_cbs_[0]) batch_cbs_[0]();
-    }
+    dispatch_serial(batch_cbs_[0], key.time, key.priority_bits);
     return true;
   }
 

@@ -124,11 +124,16 @@ class Engine {
   void enable_timing(bool on = true) { timing_enabled_ = on; }
   [[nodiscard]] const EngineTiming& timing() const { return timing_; }
 
+  /// The pending-event set, read-only (tests audit its slot slab).
+  [[nodiscard]] const EventQueue& queue() const { return queue_; }
+
  private:
   /// One scheduling quantum in batch mode: either a serial step (top
   /// event unsharded) or one batch. Returns false when the queue is
   /// empty or the next event lies beyond `bound`.
   bool parallel_step(double bound);
+  /// Run one popped event on the engine thread, with observer and timing.
+  void dispatch_serial(const EventCallback& callback, double time, int priority);
 
   EventQueue queue_;
   double now_{0.0};

@@ -66,21 +66,13 @@ EventQueue::EventQueue() {
 EventQueue::~EventQueue() { detail::QueueLiveness::release(live_cell_); }
 
 std::uint32_t EventQueue::acquire_slot() {
-  if (free_head_ != kNil) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
-    slots_[idx].next_free = kNil;
-    --free_count_;
+  if (!free_stack_.empty()) {
+    const std::uint32_t idx = free_stack_.back();
+    free_stack_.pop_back();
     return idx;
   }
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventQueue::free_list_push(std::uint32_t idx) const {
-  slots_[idx].next_free = free_head_;
-  free_head_ = idx;
-  ++free_count_;
 }
 
 void EventQueue::release_slot(std::uint32_t idx) const {
@@ -91,7 +83,7 @@ void EventQueue::release_slot(std::uint32_t idx) const {
   s.executing = false;
   // odd -> even: free, and all outstanding handles invalidated
   s.gen_state.store(s.gen_state.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  free_list_push(idx);
+  free_stack_.push_back(idx);
 }
 
 void EventQueue::sift_up(std::size_t pos) const {
@@ -180,33 +172,8 @@ EventHandle EventQueue::staged_push(double time, EventPriority priority, EventCa
         "reproduced bit-identically with engine.threads>1 (run with engine.threads=1, or "
         "give the action a nonzero latency)");
   }
-  ItemStaging& item = *t.item;
-  if (item.slot_cache.empty()) refill_slot_cache(item.slot_cache);
-  const std::uint32_t idx = item.slot_cache.back();
-  item.slot_cache.pop_back();
-  Slot& s = slots_[idx];
-  s.callback = std::move(cb);
-  s.cancelled = false;
-  s.staged = true;
-  s.shard = shard;
-  const std::uint32_t gen = s.gen_state.load(std::memory_order_relaxed) + 1;
-  s.gen_state.store(gen, std::memory_order_relaxed);
-  item.pushes.push_back(StagedPush{time, prio, idx});
-  return EventHandle{this, live_cell_, queue_id_, idx, gen};
-}
-
-void EventQueue::refill_slot_cache(std::vector<std::uint32_t>& cache) {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t taken = 0;
-  while (taken < kSlotCacheRefill && free_head_ != kNil) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
-    slots_[idx].next_free = kNil;
-    cache.push_back(idx);
-    ++taken;
-  }
-  free_count_ -= taken;
-  if (taken == 0) {
+  const std::ptrdiff_t top = claim_top_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  if (top < 0) {
     // Workers may not grow the slab (reallocation would race every
     // unsynchronized slot access); begin_parallel pre-sizes the spare
     // from the high-water mark, so hitting this means a >4x staged-push
@@ -215,6 +182,16 @@ void EventQueue::refill_slot_cache(std::vector<std::uint32_t>& cache) {
         "EventQueue: slot slab exhausted during a parallel batch (staged pushes outgrew "
         "the pre-sized spare); rerun with engine.threads=1");
   }
+  const std::uint32_t idx = free_stack_[static_cast<std::size_t>(top)];
+  Slot& s = slots_[idx];
+  s.callback = std::move(cb);
+  s.cancelled = false;
+  s.staged = true;
+  s.shard = shard;
+  const std::uint32_t gen = s.gen_state.load(std::memory_order_relaxed) + 1;
+  s.gen_state.store(gen, std::memory_order_relaxed);
+  t.pushes->push_back(StagedPush{time, prio, idx});
+  return EventHandle{this, live_cell_, queue_id_, idx, gen};
 }
 
 bool EventQueue::empty() const {
@@ -285,19 +262,15 @@ void EventQueue::begin_parallel(double batch_time, std::uint16_t batch_priority_
   batch_time_ = batch_time;
   batch_priority_bits_ = batch_priority_bits;
   if (staging_.size() < batch_slots_.size()) staging_.resize(batch_slots_.size());
-  for (std::size_t i = 0; i < batch_slots_.size(); ++i) {
-    staging_[i].pushes.clear();
-    assert(staging_[i].slot_cache.empty());
-  }
-  // Pre-grow the slab so workers only ever pop the freelist: reallocation
-  // is forbidden inside the region. 4x the staged high water + one cache
-  // refill per item covers growth between consecutive batches.
-  const std::size_t target = std::max<std::size_t>(8192, 4 * staged_high_water_) +
-                             kSlotCacheRefill * batch_slots_.size();
-  while (free_count_ < target) {
+  // Pre-grow the slab so workers only ever claim from the free stack:
+  // reallocation is forbidden inside the region. 4x the staged high
+  // water covers growth between consecutive batches.
+  const std::size_t target = std::max<std::size_t>(8192, 4 * staged_high_water_);
+  while (free_stack_.size() < target) {
     slots_.emplace_back();
-    free_list_push(static_cast<std::uint32_t>(slots_.size() - 1));
+    free_stack_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
   }
+  claim_top_.store(static_cast<std::ptrdiff_t>(free_stack_.size()), std::memory_order_relaxed);
   mt_guard_.store(true, std::memory_order_release);
 }
 
@@ -309,12 +282,17 @@ void EventQueue::unbind_staging() { tls_staging_ = TlsStaging{}; }
 
 void EventQueue::release_staging(bool replay) {
   mt_guard_.store(false, std::memory_order_release);
+  // Everything at or above the clamped top was claimed by a staged push
+  // and is accounted for in some item's list below.
+  const auto top = std::max<std::ptrdiff_t>(0, claim_top_.load(std::memory_order_relaxed));
+  claim_top_.store(top, std::memory_order_relaxed);
+  free_stack_.resize(static_cast<std::size_t>(top));
   std::size_t staged_total = 0;
   const std::size_t items = batch_slots_.size();
   for (std::size_t i = 0; i < items; ++i) {
-    ItemStaging& item = staging_[i];
-    staged_total += item.pushes.size();
-    for (const StagedPush& p : item.pushes) {
+    std::vector<StagedPush>& pushes = staging_[i];
+    staged_total += pushes.size();
+    for (const StagedPush& p : pushes) {
       Slot& s = slots_[p.slot];
       s.staged = false;
       if (replay) {
@@ -330,9 +308,7 @@ void EventQueue::release_staging(bool replay) {
       }
       release_slot(p.slot);
     }
-    item.pushes.clear();
-    for (const std::uint32_t idx : item.slot_cache) free_list_push(idx);
-    item.slot_cache.clear();
+    pushes.clear();
   }
   for (const std::uint32_t idx : batch_slots_) {
     slots_[idx].executing = false;
@@ -340,6 +316,19 @@ void EventQueue::release_staging(bool replay) {
   }
   batch_slots_.clear();
   staged_high_water_ = std::max(staged_high_water_, staged_total);
+}
+
+EventQueue::SlabCensus EventQueue::slab_census() const {
+  SlabCensus c{slots_.size(), free_stack_.size(), heap_.size(), 0,
+               claim_top_.load(std::memory_order_relaxed)};
+  std::vector<bool> seen(slots_.size(), false);
+  auto visit = [&](std::uint32_t idx) {
+    if (seen[idx]) ++c.duplicates;
+    seen[idx] = true;
+  };
+  for (const std::uint32_t idx : free_stack_) visit(idx);
+  for (const HeapEntry& e : heap_) visit(e.slot);
+  return c;
 }
 
 void EventQueue::end_parallel() { release_staging(/*replay=*/true); }

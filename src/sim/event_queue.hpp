@@ -13,8 +13,8 @@
 // implementation survives in bench/legacy/ as the comparison point):
 //
 //  - Records live in a slab-allocated pool indexed by slot number; a
-//    freelist recycles slots, so push/pop/cancel perform zero heap
-//    allocations after warm-up.
+//    LIFO stack of free slot numbers recycles them, so push/pop/cancel
+//    perform zero heap allocations after warm-up.
 //  - The heap is 4-ary and its entries carry the full ordering key
 //    (time + packed priority|seq), so sift comparisons touch only the
 //    contiguous heap array — never the slab, never a pointer chase.
@@ -40,12 +40,15 @@
 // with identical (time, priority) and a shard tag is popped as one batch
 // (pop_batch) and executed by a worker pool. During the batch
 // (begin_parallel .. end_parallel):
-//  - push from a worker is *staged*: the record is acquired immediately
-//    (from a per-worker slot cache, so the global mutex is touched once
-//    per kSlotCacheRefill pushes) and a valid handle returned, but the
-//    sequence number and heap insertion are deferred to end_parallel,
-//    which replays staged pushes in batch pop order — reproducing the
-//    exact sequence numbers a serial run would have assigned.
+//  - push from a worker is *staged*: the record is claimed immediately
+//    and a valid handle returned, but the sequence number and heap
+//    insertion are deferred to end_parallel, which replays staged pushes
+//    in batch pop order — reproducing the exact sequence numbers a
+//    serial run would have assigned. A claim is one relaxed fetch_sub on
+//    the free stack's published top (begin_parallel pre-sizes the stack,
+//    so workers never grow it or the slab); no lock is taken. Which slot
+//    a staged push gets therefore varies with thread timing, and nothing
+//    observable depends on it.
 //  - cancel/pending from a worker lock the queue mutex (mt_guard_ makes
 //    this zero-cost when no batch is running: one relaxed atomic load).
 //  - operations that cannot be made bit-identical to the serial
@@ -56,6 +59,7 @@
 //    executing batch (a serial run might not have popped it yet).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -189,8 +193,9 @@ class EventQueue {
   std::size_t pop_batch(std::vector<EventCallback>& callbacks, std::vector<ShardId>& shards);
 
   /// Enter the parallel region for the batch just popped (size >= 2):
-  /// arms the mutex guard, sizes the per-item staging buffers, and
-  /// pre-grows the slot slab so workers never reallocate it.
+  /// arms the mutex guard, sizes the per-item staging buffers, pre-grows
+  /// the slot slab so workers never reallocate it, and publishes the
+  /// free stack's top for lock-free staged claims.
   void begin_parallel(double batch_time, std::uint16_t batch_priority_bits);
 
   /// Bind/unbind this thread's staged-push context to batch item `item`
@@ -208,15 +213,26 @@ class EventQueue {
   /// but the simulation state is torn; callers propagate the exception.
   void cancel_parallel();
 
+  /// Slot-slab accounting for tests. Outside a parallel region every
+  /// slot is exactly one of free (on the free stack) or queued (in the
+  /// heap, live or cancelled-unswept); `duplicates` counts indices seen
+  /// twice across the two. `claim_top` is the free-stack top the last
+  /// parallel region left behind (clamped at 0 after an exhausted spare).
+  struct SlabCensus {
+    std::size_t slab;
+    std::size_t free;
+    std::size_t queued;
+    std::size_t duplicates;
+    std::ptrdiff_t claim_top;
+  };
+  [[nodiscard]] SlabCensus slab_census() const;
+
  private:
   friend class EventHandle;
 
-  static constexpr std::uint32_t kNil = 0xffffffffu;
   /// 48-bit sequence numbers leave 16 bits for the priority in the
   /// packed ordering word; ~2.8e14 events outlast any simulation.
   static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
-  /// Slots handed to a worker's staged-push cache per mutex acquisition.
-  static constexpr std::size_t kSlotCacheRefill = 64;
 
   struct Slot {
     EventCallback callback;
@@ -226,7 +242,6 @@ class EventQueue {
     /// acquiring the (recycled) slot — the only two fields such a probe
     /// may touch are this and, when it matches, `cancelled`.
     std::atomic<std::uint32_t> gen_state{0};
-    std::uint32_t next_free{kNil};  // freelist link; kNil while in use
     ShardId shard{kNoShard};
     bool cancelled{false};
     /// Acquired by a worker inside a parallel region; seq/heap insertion
@@ -243,7 +258,6 @@ class EventQueue {
     Slot(Slot&& o) noexcept
         : callback(std::move(o.callback)),
           gen_state(o.gen_state.load(std::memory_order_relaxed)),
-          next_free(o.next_free),
           shard(o.shard),
           cancelled(o.cancelled),
           staged(o.staged),
@@ -251,7 +265,6 @@ class EventQueue {
     Slot& operator=(Slot&& o) noexcept {
       callback = std::move(o.callback);
       gen_state.store(o.gen_state.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      next_free = o.next_free;
       shard = o.shard;
       cancelled = o.cancelled;
       staged = o.staged;
@@ -279,16 +292,9 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  /// Per-batch-item staging state. Exactly one worker runs a given item,
-  /// so no lock guards it; the slot cache amortizes freelist access.
-  struct ItemStaging {
-    std::vector<StagedPush> pushes;
-    std::vector<std::uint32_t> slot_cache;
-  };
-
   struct TlsStaging {
     EventQueue* queue{nullptr};
-    ItemStaging* item{nullptr};
+    std::vector<StagedPush>* pushes{nullptr};
     double batch_time{0.0};
     std::uint16_t batch_priority_bits{0};
   };
@@ -296,7 +302,6 @@ class EventQueue {
 
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx) const;
-  void free_list_push(std::uint32_t idx) const;
   void sift_up(std::size_t pos) const;
   void sift_down(std::size_t pos) const;
   void heap_remove_top() const;
@@ -304,7 +309,6 @@ class EventQueue {
   void drop_dead() const;
 
   EventHandle staged_push(double time, EventPriority priority, EventCallback cb, ShardId shard);
-  void refill_slot_cache(std::vector<std::uint32_t>& cache);
   void heap_insert(double time, std::uint16_t priority_bits, std::uint64_t seq,
                    std::uint32_t slot);
   void release_staging(bool replay);
@@ -319,8 +323,8 @@ class EventQueue {
   // priority_queue implementation).
   mutable std::vector<Slot> slots_;
   mutable std::vector<HeapEntry> heap_;
-  mutable std::uint32_t free_head_{kNil};
-  mutable std::size_t free_count_{0};
+  /// Free slot numbers, LIFO.
+  mutable std::vector<std::uint32_t> free_stack_;
   /// Cancelled-but-unswept records. While zero (the common case between
   /// reschedule bursts) the lazy-deletion sweep skips its per-call slab
   /// probe entirely.
@@ -335,9 +339,15 @@ class EventQueue {
   // begin_parallel and end_parallel; every handle/push path checks it
   // with one relaxed load, so the serial paths above stay lock-free.
   std::atomic<bool> mt_guard_{false};
+  /// Worker-side cancel/pending take this; staged pushes do not.
   mutable std::mutex mu_;
+  /// Staged pushes claim free_stack_[--claim_top_]. Signed: claims past
+  /// the bottom drive it negative, and release_staging clamps it to 0.
+  std::atomic<std::ptrdiff_t> claim_top_{0};
   std::vector<std::uint32_t> batch_slots_;
-  std::vector<ItemStaging> staging_;
+  /// Per-batch-item staged pushes, in push order. Exactly one worker
+  /// runs a given item, so no lock guards them.
+  std::vector<std::vector<StagedPush>> staging_;
   double batch_time_{0.0};
   std::uint16_t batch_priority_bits_{0};
   /// Largest staged-push count seen in one batch; begin_parallel sizes

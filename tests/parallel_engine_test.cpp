@@ -7,7 +7,9 @@
 // stress comparing threads ∈ {2, 4, 8} against the serial reference,
 // and the end-to-end bit-identity pins: single-world and federated runs
 // with migration + power + faults + weight events must produce digest-
-// identical output at every thread count.
+// identical output at every thread count. Staged-push slot claims are
+// audited for leaks and double claims across many one-push batches and
+// through an exhausted slab.
 
 #include "sim/engine.hpp"
 
@@ -25,6 +27,7 @@
 #include "scenario/experiment.hpp"
 #include "scenario/federation_experiment.hpp"
 #include "scenario/result_digest.hpp"
+#include "sim/engine_observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/worker_pool.hpp"
 #include "util/config.hpp"
@@ -277,6 +280,128 @@ TEST(ParallelEngine, QueueIdsNeverRecycleLiveness) {
   (void)fresh.push(1.0, kCtrl, [] {});
   EXPECT_FALSE(stale.pending());
   EXPECT_FALSE(stale.cancel());
+}
+
+// --- staged-push slot claims ---------------------------------------------------
+
+namespace {
+
+/// Batch position of the event running on this thread: its item index
+/// inside a parallel batch, or its pop position among same-time events
+/// when it runs serially.
+thread_local std::size_t tl_position = 0;
+
+/// Records each running event's batch position and audits the slot slab
+/// after every merge barrier.
+class SlabAudit final : public sim::EngineObserver {
+ public:
+  explicit SlabAudit(const sim::Engine& engine) : engine_(engine) {}
+
+  void on_serial_event(double time, int /*priority*/) override {
+    if (time != serial_time_) {
+      serial_time_ = time;
+      serial_position_ = 0;
+    }
+    tl_position = serial_position_++;
+  }
+  void on_batch_begin(double, int, std::size_t, std::size_t) override {}
+  void on_batch_item_begin(std::size_t item) override { tl_position = item; }
+  void on_batch_item_end() override {}
+  void on_batch_end(double /*time*/) override {
+    const sim::EventQueue::SlabCensus c = engine_.queue().slab_census();
+    EXPECT_EQ(c.free + c.queued, c.slab) << "a slot leaked or was freed twice";
+    EXPECT_EQ(c.duplicates, 0u) << "a slot was claimed twice";
+    if (merges_++ == 0) first_slab_ = c.slab;
+    EXPECT_EQ(c.slab, first_slab_) << "slab grew after the first batch (merge " << merges_
+                                   << ")";
+  }
+
+  [[nodiscard]] std::size_t merges() const { return merges_; }
+
+ private:
+  const sim::Engine& engine_;
+  double serial_time_{-1.0};
+  std::size_t serial_position_{0};
+  std::size_t merges_{0};
+  std::size_t first_slab_{0};
+};
+
+/// `shards` events per round at one (time, priority), each of which
+/// stages exactly one push: its shard's event for the next round. Returns
+/// the shard at each batch position, per round.
+std::vector<std::vector<sim::ShardId>> run_one_push_rounds(unsigned threads, std::size_t shards,
+                                                           std::size_t rounds) {
+  sim::Engine engine;
+  engine.set_threads(threads);
+  SlabAudit audit(engine);
+  engine.set_observer(&audit);
+  std::vector<std::vector<sim::ShardId>> order(rounds,
+                                               std::vector<sim::ShardId>(shards, sim::kNoShard));
+  std::function<void(sim::ShardId, std::size_t)> tick = [&](sim::ShardId s, std::size_t r) {
+    order[r][tl_position] = s;
+    if (r + 1 == rounds) return;
+    engine.schedule_in(util::Seconds{10.0}, kCtrl, s, [&tick, s, r] { tick(s, r + 1); });
+  };
+  // Push in a scrambled shard order, so pop order is not shard order.
+  for (std::size_t i = 0; i < shards; ++i) {
+    const auto s = static_cast<sim::ShardId>((i * 7919) % shards);
+    engine.schedule_at(util::Seconds{10.0}, kCtrl, s, [&tick, s] { tick(s, 0); });
+  }
+  engine.run();
+  EXPECT_EQ(engine.events_executed(), shards * rounds);
+  EXPECT_EQ(audit.merges(), threads > 1 ? rounds : 0u);
+  return order;
+}
+
+}  // namespace
+
+TEST(ParallelEngine, ManyOnePushItemsReplayInSerialOrderWithoutLeaks) {
+  // The shape that dominates aligned federations: every batch item stages
+  // one push (an action completion). 2048 items keep 4x the staged high
+  // water inside the slab's minimum spare, so the slab must stop growing
+  // after the first batch.
+  constexpr std::size_t kShards = 2048;
+  constexpr std::size_t kRounds = 30;
+  const auto ref = run_one_push_rounds(1, kShards, kRounds);
+  ASSERT_NE(ref.front().front(), ref.front().back());
+  const auto par = run_one_push_rounds(4, kShards, kRounds);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    ASSERT_EQ(par[r], ref[r]) << "round " << r;
+  }
+}
+
+TEST(ParallelEngine, SlabExhaustionThrowsAndKeepsTheQueueConsistent) {
+  // The first batch's spare is 8192 slots; four items staging 3000 pushes
+  // each run it dry. The claim that underflows throws, the engine aborts
+  // the batch through cancel_parallel, and every slot must be accounted
+  // for afterwards.
+  sim::Engine engine;
+  engine.set_threads(4);
+  for (sim::ShardId s = 0; s < 4; ++s) {
+    engine.schedule_at(util::Seconds{10.0}, kCtrl, s, [&engine, s] {
+      for (int i = 0; i < 3000; ++i) engine.schedule_at(util::Seconds{20.0}, kState, s, [] {});
+    });
+  }
+  try {
+    engine.run();
+    FAIL() << "expected the slot slab to run out";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slot slab exhausted"), std::string::npos) << e.what();
+  }
+  const sim::EventQueue::SlabCensus c = engine.queue().slab_census();
+  EXPECT_EQ(c.claim_top, 0);
+  EXPECT_EQ(c.queued, 0u);
+  EXPECT_EQ(c.free, c.slab);
+  EXPECT_EQ(c.duplicates, 0u);
+  EXPECT_EQ(engine.events_pending(), 0u);
+
+  // The queue is still usable serially.
+  engine.set_threads(1);
+  bool ran = false;
+  engine.schedule_at(util::Seconds{30.0}, kCtrl, [&ran] { ran = true; });
+  engine.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(engine.queue().slab_census().duplicates, 0u);
 }
 
 // --- end-to-end bit-identity pins -------------------------------------------
