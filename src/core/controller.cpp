@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
-
 namespace heteroplace::core {
 
 void PlacementController::set_obs(const obs::ObsContext& ctx) {
   obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    cycles_metric_ = &obs_.metrics->counter("controller_cycles_total",
-                                            "Control cycles evaluated", obs_.labels);
-    missed_cycles_metric_ = &obs_.metrics->counter(
-        "controller_missed_cycles_total", "Cycles skipped while offline (blackout)", obs_.labels);
-  }
   policy_->set_obs(obs_);
   executor_.set_obs(obs_);
 }
@@ -51,32 +41,23 @@ void PlacementController::run_cycle() {
   // control plane is down while the machines keep running.
   if (!online_) {
     ++missed_cycles_;
-    if (missed_cycles_metric_ != nullptr) missed_cycles_metric_->inc();
-    if (obs_.trace != nullptr) {
-      obs_.trace->instant(obs_.pid, obs::Lane::kController, "cycle_skipped", now.get());
-    }
+    obs_.cycle_skipped(now.get());
     return;
   }
 
-  const obs::ScopedTimer cycle_timer(obs_.profiler, obs::Phase::kControllerCycle);
-  if (obs_.trace != nullptr) {
-    obs_.trace->begin(obs_.pid, obs::Lane::kController, "cycle", now.get(),
-                      {{"active_jobs", static_cast<double>(world_.active_jobs().size())}});
-  }
+  const std::vector<workload::Job*> jobs = world_.active_jobs();
+  obs::Span cycle(obs_, obs::SpanKind::kControllerCycle, now.get(),
+                  {{"active_jobs", static_cast<double>(jobs.size())}});
 
   // Fold elapsed progress into every job before the policy reads state.
-  for (workload::Job* job : world_.active_jobs()) job->advance_to(now);
+  for (workload::Job* job : jobs) job->advance_to(now);
 
   PolicyOutput out = policy_->decide(world_, now);
   executor_.apply(out.plan);
   ++cycles_;
-  if (cycles_metric_ != nullptr) cycles_metric_->inc();
-  if (obs_.trace != nullptr) {
-    obs_.trace->end(obs_.pid, obs::Lane::kController, "cycle", now.get(),
-                    {{"u_star", out.diag.u_star},
-                     {"jobs_placed", static_cast<double>(out.diag.solver.jobs_placed)},
-                     {"jobs_waiting", static_cast<double>(out.diag.solver.jobs_waiting)}});
-  }
+  cycle.end({{"u_star", out.diag.u_star},
+             {"jobs_placed", static_cast<double>(out.diag.solver.jobs_placed)},
+             {"jobs_waiting", static_cast<double>(out.diag.solver.jobs_waiting)}});
 
   if (observer_) {
     CycleReport report;

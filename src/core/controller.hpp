@@ -57,10 +57,11 @@ class PlacementController {
 
   void set_observer(CycleObserver observer) { observer_ = std::move(observer); }
 
-  /// Attach observability (trace spans, cycle metrics, phase timers);
-  /// forwards to the policy and the executor. Call before start(); the
-  /// default (no call) keeps every emission site a dead branch.
+  /// Attach this domain's observability context (cycle spans, skipped
+  /// cycles); forwards to the policy and the executor. Call before
+  /// start(); the default (no call) keeps every event a null test.
   void set_obs(const obs::ObsContext& ctx);
+  [[nodiscard]] const obs::ObsContext& obs() const { return obs_; }
 
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
 
@@ -114,8 +115,6 @@ class PlacementController {
   ControllerConfig config_;
   CycleObserver observer_;
   obs::ObsContext obs_;
-  obs::Counter* cycles_metric_{nullptr};
-  obs::Counter* missed_cycles_metric_{nullptr};
   long cycles_{0};
   long missed_cycles_{0};
   util::Seconds next_cycle_at_{0.0};

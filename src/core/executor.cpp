@@ -5,10 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "obs/audit.hpp"
-#include "obs/profile.hpp"
-#include "obs/sla.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace heteroplace::core {
@@ -17,19 +13,6 @@ namespace {
 using cluster::ActionType;
 using cluster::VmState;
 using workload::JobPhase;
-
-/// Executor lifecycle-action audit record ('X'); verdict must be a literal.
-void audit_action(obs::AuditLog* audit, double now, const char* verdict,
-                  const workload::Job& job, int node) {
-  if (audit == nullptr) return;
-  obs::AuditRecord rec;
-  rec.t = now;
-  rec.kind = 'X';
-  rec.verdict = verdict;
-  rec.consumer = static_cast<std::int64_t>(job.id().get());
-  rec.node = node;
-  audit->record(rec);
-}
 }  // namespace
 
 cluster::ActionCounts ActionExecutor::take_counts_delta() {
@@ -79,11 +62,7 @@ void ActionExecutor::on_job_finished(util::JobId job_id) {
   }
   job.set_node(util::NodeId{});
   job_rt_.erase(job_id);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kExecutor, "job_completed", engine_.now().get(),
-                        {{"job", static_cast<double>(job_id.get())}});
-  }
-  if (obs_.sla != nullptr) obs_.sla->on_job_completed(job, engine_.now().get());
+  obs_.job_completed(job, engine_.now().get());
   if (on_completion_) on_completion_(job);
 }
 
@@ -124,13 +103,7 @@ void ActionExecutor::start_job(workload::Job& job, util::NodeId node, util::CpuM
   world_.cluster().set_vm_state(job.vm(), VmState::kStarting);
   job.set_phase(engine_.now(), JobPhase::kStarting);
   counts_.record(ActionType::kStartJob);
-  if (obs_.sla != nullptr) obs_.sla->on_job_started(job.id(), engine_.now().get());
-  audit_action(obs_.audit, engine_.now().get(), "start", job, static_cast<int>(node.get()));
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kExecutor, "job_start", engine_.now().get(),
-                        {{"job", static_cast<double>(job.id().get())},
-                         {"node", static_cast<double>(node.get())}});
-  }
+  obs_.job_started(job, node, engine_.now().get());
   JobRuntime& rt = job_rt_[job.id()];
   rt.pending_share = cpu.get();
   const util::JobId id = job.id();
@@ -159,12 +132,7 @@ void ActionExecutor::resume_job(workload::Job& job, util::NodeId node, util::Cpu
   world_.cluster().set_vm_state(job.vm(), VmState::kResuming);
   job.set_phase(engine_.now(), JobPhase::kResuming);
   counts_.record(ActionType::kResumeJob);
-  audit_action(obs_.audit, engine_.now().get(), "resume", job, static_cast<int>(node.get()));
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kExecutor, "job_resume", engine_.now().get(),
-                        {{"job", static_cast<double>(job.id().get())},
-                         {"node", static_cast<double>(node.get())}});
-  }
+  obs_.job_resumed(job, node, engine_.now().get());
   JobRuntime& rt = job_rt_[job.id()];
   rt.pending_share = cpu.get();
   const util::JobId id = job.id();
@@ -189,19 +157,14 @@ bool ActionExecutor::migrate_job(workload::Job& job, util::NodeId node, util::Cp
     job.set_phase(engine_.now(), JobPhase::kSuspended);
     job.count_suspend();
     counts_.record(ActionType::kSuspendJob);
-    audit_action(obs_.audit, engine_.now().get(), "suspend", job, -1);
+    obs_.job_suspended(job, engine_.now().get());
     return true;
   }
   job.set_node(node);
   job.set_phase(engine_.now(), JobPhase::kMigrating);
   job.count_migrate();
   counts_.record(ActionType::kMigrateJob);
-  audit_action(obs_.audit, engine_.now().get(), "migrate", job, static_cast<int>(node.get()));
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kExecutor, "job_migrate", engine_.now().get(),
-                        {{"job", static_cast<double>(job.id().get())},
-                         {"node", static_cast<double>(node.get())}});
-  }
+  obs_.job_migrated(job, node, engine_.now().get());
   rt.pending_share = cpu.get();
   const util::JobId id = job.id();
   rt.transition = engine_.schedule_in(latencies_.migrate_job, sim::EventPriority::kStateTransition,
@@ -220,12 +183,7 @@ void ActionExecutor::suspend_job(workload::Job& job) {
   job.set_phase(engine_.now(), JobPhase::kSuspending);
   job.count_suspend();
   counts_.record(ActionType::kSuspendJob);
-  audit_action(obs_.audit, engine_.now().get(),
-               "suspend", job, job.node().valid() ? static_cast<int>(job.node().get()) : -1);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kExecutor, "job_suspend", engine_.now().get(),
-                        {{"job", static_cast<double>(job.id().get())}});
-  }
+  obs_.job_suspended(job, engine_.now().get());
   const util::JobId id = job.id();
   rt.transition =
       engine_.schedule_in(latencies_.suspend_job, sim::EventPriority::kStateTransition,
@@ -264,14 +222,10 @@ void ActionExecutor::forget_instance(util::VmId vm) {
 void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   const util::Seconds now = engine_.now();
   auto& cl = world_.cluster();
-  const obs::ScopedTimer apply_timer(obs_.profiler, obs::Phase::kExecutorApply);
-  obs::TraceRecorder* const tr = obs_.trace;
+  obs::Span apply_span(obs_, obs::SpanKind::kExecutorApply, now.get(),
+                       {{"planned_jobs", static_cast<double>(plan.jobs.size())},
+                        {"planned_instances", static_cast<double>(plan.instances.size())}});
   const cluster::ActionCounts before = counts_;
-  if (tr != nullptr) {
-    tr->begin(obs_.pid, obs::Lane::kExecutor, "apply", now.get(),
-              {{"planned_jobs", static_cast<double>(plan.jobs.size())},
-               {"planned_instances", static_cast<double>(plan.instances.size())}});
-  }
 
   // Index the desired state.
   std::map<util::JobId, cluster::DesiredJobPlacement> desired_jobs;
@@ -293,7 +247,7 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   const std::vector<workload::Job*> jobs = world_.active_jobs();
 
   // ---- Pass 1: suspends and instance stops --------------------------------
-  if (tr != nullptr) tr->begin(obs_.pid, obs::Lane::kExecutor, "pass1_release", now.get());
+  obs::Span release_pass(obs_, obs::SpanKind::kReleasePass, now.get());
   for (workload::Job* job : jobs) {
     if (job->phase() == JobPhase::kRunning && desired_jobs.count(job->id()) == 0) {
       suspend_job(*job);
@@ -314,10 +268,8 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
     cl.unplace_vm(vm_id);
     counts_.record(ActionType::kStopInstance);
   }
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kExecutor, "pass1_release", now.get());
-    tr->begin(obs_.pid, obs::Lane::kExecutor, "pass2_resize", now.get());
-  }
+  release_pass.end();
+  obs::Span resize_pass(obs_, obs::SpanKind::kResizePass, now.get());
 
   // ---- Pass 2: resizes (shrink first, then grow) --------------------------
   struct Resize {
@@ -384,12 +336,9 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
   };
   for (const auto& r : shrinks) apply_resize(r);
   for (const auto& r : grows) apply_resize(r);
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kExecutor, "pass2_resize", now.get(),
-            {{"shrinks", static_cast<double>(shrinks.size())},
-             {"grows", static_cast<double>(grows.size())}});
-    tr->begin(obs_.pid, obs::Lane::kExecutor, "pass3_migrate", now.get());
-  }
+  resize_pass.end({{"shrinks", static_cast<double>(shrinks.size())},
+                   {"grows", static_cast<double>(grows.size())}});
+  obs::Span migrate_pass(obs_, obs::SpanKind::kMigratePass, now.get());
 
   // ---- Pass 3: migrations ---------------------------------------------------
   // Fixpoint loop: a move can be blocked on memory another move is about
@@ -418,11 +367,8 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
     }
   }
   for (util::JobId id : moves) suspend_job(world_.job(id));
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kExecutor, "pass3_migrate", now.get(),
-            {{"stranded", static_cast<double>(moves.size())}});
-    tr->begin(obs_.pid, obs::Lane::kExecutor, "pass4_start", now.get());
-  }
+  migrate_pass.end({{"stranded", static_cast<double>(moves.size())}});
+  obs::Span start_pass(obs_, obs::SpanKind::kStartPass, now.get());
 
   // ---- Pass 4: starts and resumes -------------------------------------------
   for (workload::Job* job : jobs) {
@@ -461,14 +407,12 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
           instance_pending_share_.erase(vm_id);
         });
   }
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kExecutor, "pass4_start", now.get());
-    tr->end(obs_.pid, obs::Lane::kExecutor, "apply", now.get(),
-            {{"suspends", static_cast<double>(counts_.suspends - before.suspends)},
-             {"migrations", static_cast<double>(counts_.migrations - before.migrations)},
-             {"starts", static_cast<double>(counts_.starts + counts_.resumes - before.starts -
-                                            before.resumes)}});
-  }
+  start_pass.end();
+  apply_span.end(
+      {{"suspends", static_cast<double>(counts_.suspends - before.suspends)},
+       {"migrations", static_cast<double>(counts_.migrations - before.migrations)},
+       {"starts",
+        static_cast<double>(counts_.starts + counts_.resumes - before.starts - before.resumes)}});
 }
 
 }  // namespace heteroplace::core

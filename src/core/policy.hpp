@@ -24,6 +24,8 @@ struct PolicyDiagnostics {
   /// Equalized utility level (NaN for policies that don't equalize).
   double u_star{std::nan("")};
   bool contended{false};
+  /// Equalizer bisection iterations (-1 for policies that don't equalize).
+  int eq_iterations{-1};
 
   struct AppDiag {
     util::AppId id{};

@@ -2,20 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
-
 namespace heteroplace::core {
-
-void UtilityDrivenPolicy::set_obs(const obs::ObsContext& ctx) {
-  obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    eq_iterations_metric_ = &obs_.metrics->histogram(
-        "controller_equalizer_iterations", "Bisection iterations per equalize call",
-        {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}, obs_.labels);
-  }
-}
 
 PlacementProblem build_problem_skeleton(const World& world) {
   PlacementProblem problem;
@@ -74,11 +61,10 @@ PlacementProblem build_problem_skeleton(const World& world) {
 
 PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) {
   PolicyOutput out;
-  obs::TraceRecorder* const tr = obs_.trace;
   const double t = now.get();
 
   // --- 1. consumers: one per active job, one per transactional app --------
-  if (tr != nullptr) obs_.trace->begin(obs_.pid, obs::Lane::kController, "consumers", t);
+  obs::Span consumers_span(obs_, obs::SpanKind::kConsumers, t);
   const auto jobs = world.active_jobs();
   std::vector<JobConsumer> job_consumers;
   job_consumers.reserve(jobs.size());
@@ -123,95 +109,77 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   consumers.reserve(job_consumers.size() + tx_consumers.size());
   for (const auto& c : job_consumers) consumers.push_back(&c);
   for (const auto& c : tx_consumers) consumers.push_back(&c);
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kController, "consumers", t,
-            {{"consumers", static_cast<double>(consumers.size())}});
-  }
+  consumers_span.end({{"consumers", static_cast<double>(consumers.size())}});
 
   // --- 2. equalize hypothetical utility ------------------------------------
   // Parked capacity is not real capacity: the equalizer divides what the
   // solver can actually place (bit-identical to total_capacity when the
   // power subsystem is idle or disabled).
-  if (tr != nullptr) tr->begin(obs_.pid, obs::Lane::kController, "equalize", t);
-  const util::CpuMhz capacity = world.cluster().placeable_capacity().cpu;
   EqualizeResult eq;
   {
-    const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kPolicyEqualize);
-    eq = equalize(consumers, capacity);
-  }
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kController, "equalize", t,
-            {{"u_star", eq.u_star},
-             {"iterations", static_cast<double>(eq.iterations)},
-             {"contended", eq.contended ? 1.0 : 0.0}});
-  }
-  if (eq_iterations_metric_ != nullptr) {
-    eq_iterations_metric_->observe(static_cast<double>(eq.iterations));
+    obs::Span span(obs_, obs::SpanKind::kEqualize, t);
+    eq = equalize(consumers, world.cluster().placeable_capacity().cpu);
+    span.end({{"u_star", eq.u_star},
+              {"iterations", static_cast<double>(eq.iterations)},
+              {"contended", eq.contended ? 1.0 : 0.0}});
   }
 
   out.diag.u_star = eq.u_star;
   out.diag.contended = eq.contended;
+  out.diag.eq_iterations = eq.iterations;
 
   // --- 3. assemble the discrete problem ------------------------------------
-  if (tr != nullptr) tr->begin(obs_.pid, obs::Lane::kController, "build_problem", t);
   PlacementProblem problem;
   {
-    const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kPolicyBuildProblem);
+    obs::Span span(obs_, obs::SpanKind::kBuildProblem, t);
     problem = build_problem_skeleton(world);
-  }
 
-  double jobs_demand = 0.0;
-  double jobs_target = 0.0;
-  double u_sum = 0.0;
-  double u_min = 1e300;
-  double u_max = -1e300;
-  for (std::size_t i = 0; i < job_consumers.size(); ++i) {
-    const auto& alloc = eq.allocations[i];
-    problem.jobs[i].target = alloc.alloc;
-    problem.jobs[i].urgency = alloc.alloc.get();
-    jobs_target += alloc.alloc.get();
-    jobs_demand += job_consumers[i].demand_max().get();
-    u_sum += alloc.utility;
-    u_min = std::min(u_min, alloc.utility);
-    u_max = std::max(u_max, alloc.utility);
-  }
-  out.diag.jobs_demand = util::CpuMhz{jobs_demand};
-  out.diag.jobs_target = util::CpuMhz{jobs_target};
-  out.diag.active_jobs = static_cast<int>(jobs.size());
-  out.diag.jobs_avg_hyp_utility = jobs.empty() ? 0.0 : u_sum / static_cast<double>(jobs.size());
-  out.diag.jobs_min_hyp_utility = jobs.empty() ? 0.0 : u_min;
-  out.diag.jobs_max_hyp_utility = jobs.empty() ? 0.0 : u_max;
+    double jobs_demand = 0.0;
+    double jobs_target = 0.0;
+    double u_sum = 0.0;
+    double u_min = 1e300;
+    double u_max = -1e300;
+    for (std::size_t i = 0; i < job_consumers.size(); ++i) {
+      const auto& alloc = eq.allocations[i];
+      problem.jobs[i].target = alloc.alloc;
+      problem.jobs[i].urgency = alloc.alloc.get();
+      jobs_target += alloc.alloc.get();
+      jobs_demand += job_consumers[i].demand_max().get();
+      u_sum += alloc.utility;
+      u_min = std::min(u_min, alloc.utility);
+      u_max = std::max(u_max, alloc.utility);
+    }
+    out.diag.jobs_demand = util::CpuMhz{jobs_demand};
+    out.diag.jobs_target = util::CpuMhz{jobs_target};
+    out.diag.active_jobs = static_cast<int>(jobs.size());
+    out.diag.jobs_avg_hyp_utility = jobs.empty() ? 0.0 : u_sum / static_cast<double>(jobs.size());
+    out.diag.jobs_min_hyp_utility = jobs.empty() ? 0.0 : u_min;
+    out.diag.jobs_max_hyp_utility = jobs.empty() ? 0.0 : u_max;
 
-  for (std::size_t a = 0; a < tx_consumers.size(); ++a) {
-    const auto& alloc = eq.allocations[job_consumers.size() + a];
-    problem.apps[a].target = alloc.alloc;
-    PolicyDiagnostics::AppDiag diag;
-    diag.id = problem.apps[a].id;
-    diag.lambda = tx_consumers[a].lambda();
-    diag.demand = tx_consumers[a].demand_max();
-    diag.target = alloc.alloc;
-    out.diag.apps.push_back(diag);
-  }
+    for (std::size_t a = 0; a < tx_consumers.size(); ++a) {
+      const auto& alloc = eq.allocations[job_consumers.size() + a];
+      problem.apps[a].target = alloc.alloc;
+      PolicyDiagnostics::AppDiag diag;
+      diag.id = problem.apps[a].id;
+      diag.lambda = tx_consumers[a].lambda();
+      diag.demand = tx_consumers[a].demand_max();
+      diag.target = alloc.alloc;
+      out.diag.apps.push_back(diag);
+    }
 
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kController, "build_problem", t,
-            {{"nodes", static_cast<double>(problem.nodes.size())},
-             {"jobs", static_cast<double>(problem.jobs.size())},
-             {"apps", static_cast<double>(problem.apps.size())}});
+    span.end({{"nodes", static_cast<double>(problem.nodes.size())},
+              {"jobs", static_cast<double>(problem.jobs.size())},
+              {"apps", static_cast<double>(problem.apps.size())}});
   }
 
   // --- 4. discrete placement ------------------------------------------------
-  if (tr != nullptr) tr->begin(obs_.pid, obs::Lane::kController, "solve", t);
   SolverResult solved;
   {
-    const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kPolicySolve);
+    obs::Span span(obs_, obs::SpanKind::kSolve, t);
     solved = solve_placement(problem, solver_config_, obs_.audit, t);
-  }
-  if (tr != nullptr) {
-    tr->end(obs_.pid, obs::Lane::kController, "solve", t,
-            {{"jobs_placed", static_cast<double>(solved.stats.jobs_placed)},
-             {"jobs_migrated", static_cast<double>(solved.stats.jobs_migrated)},
-             {"instances_added", static_cast<double>(solved.stats.instances_added)}});
+    span.end({{"jobs_placed", static_cast<double>(solved.stats.jobs_placed)},
+              {"jobs_migrated", static_cast<double>(solved.stats.jobs_migrated)},
+              {"instances_added", static_cast<double>(solved.stats.instances_added)}});
   }
   out.plan = std::move(solved.plan);
   out.diag.solver = solved.stats;

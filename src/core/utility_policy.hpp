@@ -30,7 +30,7 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
   void set_lambda_provider(LambdaProvider provider) { lambda_provider_ = std::move(provider); }
 
   [[nodiscard]] PolicyOutput decide(const World& world, util::Seconds now) override;
-  void set_obs(const obs::ObsContext& ctx) override;
+  void set_obs(const obs::ObsContext& ctx) override { obs_ = ctx; }
   [[nodiscard]] std::string name() const override { return "utility-driven"; }
 
   [[nodiscard]] const utility::JobUtilityModel& job_model() const { return *job_model_; }
@@ -42,7 +42,6 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
   SolverConfig solver_config_;
   LambdaProvider lambda_provider_;
   obs::ObsContext obs_;
-  obs::Histogram* eq_iterations_metric_{nullptr};
 };
 
 /// Build the solver's PlacementProblem from world state. Exposed for

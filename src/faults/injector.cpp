@@ -9,21 +9,10 @@
 #include "core/world.hpp"
 #include "federation/federation.hpp"
 #include "migration/manager.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "power/manager.hpp"
 #include "sim/engine.hpp"
 
 namespace heteroplace::faults {
-
-void FaultInjector::set_obs(const obs::ObsContext& ctx) {
-  obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    faults_metric_ =
-        &obs_.metrics->counter("faults_injected_total", "Fault windows fired (not recoveries)");
-  }
-}
 
 FaultInjector::FaultInjector(sim::Engine& engine, std::vector<DomainHooks> hooks,
                              FaultSchedule schedule, FaultOptions options)
@@ -118,14 +107,9 @@ void FaultInjector::start() {
 }
 
 void FaultInjector::fire_fault(const FaultWindow& w) {
-  const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kFaultEvent);
-  if (faults_metric_ != nullptr) faults_metric_->inc();
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kFaults, to_string(w.kind), engine_.now().get(),
-                        {{"domain", static_cast<double>(w.domain)},
-                         {"node", static_cast<double>(w.node)},
-                         {"severity", w.severity}});
-  }
+  const obs::Span span(obs_, obs::SpanKind::kFaultEvent, engine_.now().get());
+  ++state_[w.domain].stats.windows_fired;
+  obs_.fault(to_string(w.kind), w.domain, w.node, w.severity, engine_.now().get());
   switch (w.kind) {
     case FaultKind::kNodeCrash: crash_node(w); break;
     case FaultKind::kLinkFault: fail_link(w); break;
@@ -134,13 +118,8 @@ void FaultInjector::fire_fault(const FaultWindow& w) {
 }
 
 void FaultInjector::fire_recovery(const FaultWindow& w) {
-  const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kFaultEvent);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kFaults, "recovery", engine_.now().get(),
-                        {{"domain", static_cast<double>(w.domain)},
-                         {"node", static_cast<double>(w.node)},
-                         {"kind", static_cast<double>(static_cast<int>(w.kind))}});
-  }
+  const obs::Span span(obs_, obs::SpanKind::kFaultEvent, engine_.now().get());
+  obs_.recovery(w.domain, w.node, static_cast<int>(w.kind), engine_.now().get());
   switch (w.kind) {
     case FaultKind::kNodeCrash: recover_node(w); break;
     case FaultKind::kLinkFault: restore_link(w); break;
@@ -348,6 +327,7 @@ DomainFaultStats FaultInjector::totals(util::Seconds now) const {
   DomainFaultStats out;
   for (std::size_t d = 0; d < state_.size(); ++d) {
     const DomainFaultStats s = stats(d, now);
+    out.windows_fired += s.windows_fired;
     out.node_crashes += s.node_crashes;
     out.node_recoveries += s.node_recoveries;
     out.link_faults += s.link_faults;

@@ -90,6 +90,9 @@ struct FaultOptions {
 
 /// Cumulative per-domain fault accounting (also aggregated by totals()).
 struct DomainFaultStats {
+  /// Fault windows that fired, whether or not they found anything to
+  /// break (a blackout of a blacked-out domain still counts).
+  long windows_fired{0};
   long node_crashes{0};
   long node_recoveries{0};
   long link_faults{0};
@@ -127,9 +130,9 @@ class FaultInjector {
   /// Required when the schedule contains link faults. Set before start().
   void set_migration(migration::MigrationManager* migration) { migration_ = migration; }
 
-  /// Attach observability: one instant per fault/recovery on the global
-  /// pid's faults lane, per-event timing, and an injected-faults counter.
-  void set_obs(const obs::ObsContext& ctx);
+  /// Attach observability: one fault/recovery event per window edge and
+  /// per-event timing.
+  void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   /// Schedule every fault window (and the periodic checkpoint tick) on
   /// the engine. Call once, after the worlds are populated.
@@ -191,7 +194,6 @@ class FaultInjector {
   federation::Federation* fed_{nullptr};
   migration::MigrationManager* migration_{nullptr};
   obs::ObsContext obs_;
-  obs::Counter* faults_metric_{nullptr};
   std::vector<DomainState> state_;
   /// Last periodic checkpoint per job (MHz·s of completed work).
   std::map<util::JobId, double> checkpoints_;

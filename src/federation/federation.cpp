@@ -3,18 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace heteroplace::federation {
-
-void Federation::set_obs(const obs::ObsContext& ctx) {
-  obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    routed_jobs_metric_ =
-        &obs_.metrics->counter("federation_routed_jobs_total", "Jobs routed to any domain");
-  }
-}
 
 Federation::Federation(sim::Engine& engine, std::unique_ptr<DomainRouter> router)
     : engine_(engine), router_(std::move(router)) {
@@ -100,13 +89,7 @@ Domain& Federation::submit_job(workload::JobSpec spec) {
   d.world().submit_job(std::move(spec));
   d.account_job_added(max_speed);
   job_domain_.emplace(id, index);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kRouter, "route_job", engine_.now().get(),
-                        {{"job", static_cast<double>(id.get())},
-                         {"domain", static_cast<double>(index)},
-                         {"demand_mhz", max_speed.get()}});
-  }
-  if (routed_jobs_metric_ != nullptr) routed_jobs_metric_->inc();
+  obs_.job_routed(d.controller().obs(), id, index, max_speed.get(), engine_.now().get());
   return d;
 }
 
@@ -150,12 +133,7 @@ void Federation::set_domain_weight(std::size_t i, double weight) {
   }
   const double old_weight = domain(i).weight();
   domain(i).set_weight(weight);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kRouter, "domain_weight", engine_.now().get(),
-                        {{"domain", static_cast<double>(i)},
-                         {"old", old_weight},
-                         {"new", weight}});
-  }
+  obs_.domain_weight(i, old_weight, weight, engine_.now().get());
   // Local controllers pick the re-split up at their next cycle, each at
   // its own phase.
   resplit_demand();
@@ -170,10 +148,7 @@ void Federation::resplit_demand() {
   // only the splits it actually changed. The scaled() views themselves
   // are O(1) (shared breakpoints), not deep copies.
   fill_status(engine_.now(), route_status_);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kRouter, "resplit_demand", engine_.now().get(),
-                        {{"apps", static_cast<double>(apps_.size())}});
-  }
+  obs_.demand_resplit(apps_.size(), engine_.now().get());
   for (auto& app : apps_) {
     std::vector<double> shares = normalized_shares(app.spec, route_status_);
     for (auto& d : domains_) {

@@ -105,8 +105,9 @@ class Federation {
   /// Attach observability to the federation's own (serial, cross-domain)
   /// decision points: job routing, weight changes, demand re-splits. The
   /// context's pid should be the global lane (0); per-domain controller
-  /// contexts are attached separately by the experiment runner.
-  void set_obs(const obs::ObsContext& ctx);
+  /// contexts are attached separately by the experiment runner, and a
+  /// routed job is admitted to the SLA ledger of its domain's context.
+  void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   /// Probe for per-domain outbound migration-transfer queue depth,
   /// registered by the migration manager (its LinkScheduler owns the
@@ -164,7 +165,6 @@ class Federation {
   std::map<util::JobId, std::size_t> job_domain_;  // global job registry
   CycleObserver observer_;
   obs::ObsContext obs_;
-  obs::Counter* routed_jobs_metric_{nullptr};
   TransferQueueProbe transfer_queue_probe_;
   std::vector<DomainStatus> route_status_;  // reused by every submit_job
   WeightObserver weight_observer_;

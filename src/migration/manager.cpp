@@ -7,9 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace heteroplace::migration {
@@ -17,24 +14,6 @@ namespace heteroplace::migration {
 namespace {
 using workload::JobPhase;
 }  // namespace
-
-void MigrationManager::set_obs(const obs::ObsContext& ctx) {
-  obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    started_metric_ = &obs_.metrics->counter("migration_moves_started_total",
-                                             "Cross-domain moves initiated");
-    completed_metric_ = &obs_.metrics->counter("migration_moves_completed_total",
-                                               "Cross-domain moves attached at destination");
-  }
-}
-
-void MigrationManager::trace_flight_end(util::JobId id, const char* outcome) {
-  if (obs_.trace == nullptr) return;
-  const double t = fed_.engine().now().get();
-  obs_.trace->instant(obs_.pid, obs::Lane::kMigration, outcome, t,
-                      {{"job", static_cast<double>(id.get())}});
-  obs_.trace->async_end(obs_.pid, obs::Lane::kMigration, "migration", id.get(), t);
-}
 
 MigrationManager::MigrationManager(federation::Federation& fed, TransferModel model,
                                    std::unique_ptr<MigrationPolicy> policy,
@@ -89,8 +68,8 @@ void MigrationManager::start() {
 }
 
 void MigrationManager::tick() {
-  const obs::ScopedTimer tick_timer(obs_.profiler, obs::Phase::kMigrationTick);
   const util::Seconds now = fed_.engine().now();
+  const obs::Span tick_span(obs_, obs::SpanKind::kMigrationTick, now.get());
   // Congestion re-scoring (opt-in): when a pool has a backlog, let cheap
   // images overtake expensive ones — the queue analog of kCost selection.
   if (options_.rescore_queued_transfers) {
@@ -123,58 +102,34 @@ void MigrationManager::execute(const MigrationRequest& req) {
   workload::Job& job = world.job(req.job);
   if (job.held()) return;
 
-  const util::Seconds now = fed_.engine().now();
-  const auto trace_start = [&] {
-    if (started_metric_ != nullptr) started_metric_->inc();
-    if (obs_.trace != nullptr) {
-      obs_.trace->async_begin(obs_.pid, obs::Lane::kMigration, "migration", req.job.get(),
-                              now.get(),
-                              {{"from", static_cast<double>(req.from)},
-                               {"to", static_cast<double>(req.to)}});
-    }
-  };
-  switch (job.phase()) {
-    case JobPhase::kPending: {
-      // Never started: nothing to checkpoint, re-route instantly.
-      ++stats_.started;
-      ++stats_.in_flight;
-      trace_start();
-      job.set_held(true);
-      flights_.emplace(req.job, Flight{req.from, req.to, MigrationStage::kCheckpointed,
-                                       checkpoint_job(job, req.from, now)});
-      begin_transfer(req.job);
-      break;
-    }
-    case JobPhase::kRunning: {
-      // Hold first so no controller pass resumes or replans the job,
-      // then suspend through the source executor (normal latency and
-      // action accounting — the modeled checkpoint cost).
-      ++stats_.started;
-      ++stats_.in_flight;
-      trace_start();
-      job.set_held(true);
-      core::ActionExecutor& exec = fed_.domain(req.from).controller().executor();
-      exec.suspend_job_for_migration(req.job);
-      flights_.emplace(req.job, Flight{req.from, req.to, MigrationStage::kSuspending, {}});
-      const util::JobId id = req.job;
-      fed_.engine().schedule_in(exec.latencies().suspend_job, sim::EventPriority::kMigration,
-                                [this, id] { begin_transfer(id); });
-      break;
-    }
-    case JobPhase::kSuspended: {
-      ++stats_.started;
-      ++stats_.in_flight;
-      trace_start();
-      job.set_held(true);
-      flights_.emplace(req.job, Flight{req.from, req.to, MigrationStage::kCheckpointed,
-                                       checkpoint_job(job, req.from, now)});
-      begin_transfer(req.job);
-      break;
-    }
-    default:
-      // Mid-transition: a later tick will re-propose once stable.
-      break;
+  // Mid-transition jobs wait: a later tick re-proposes them once stable.
+  const JobPhase phase = job.phase();
+  if (phase != JobPhase::kPending && phase != JobPhase::kRunning &&
+      phase != JobPhase::kSuspended) {
+    return;
   }
+  const util::Seconds now = fed_.engine().now();
+  ++stats_.started;
+  ++stats_.in_flight;
+  obs_.migration_begin(req.job, req.from, req.to, now.get());
+  // Hold first so no controller pass resumes or replans the job.
+  job.set_held(true);
+  if (phase == JobPhase::kRunning) {
+    // Suspend through the source executor (normal latency and action
+    // accounting — the modeled checkpoint cost).
+    core::ActionExecutor& exec = fed_.domain(req.from).controller().executor();
+    exec.suspend_job_for_migration(req.job);
+    flights_.emplace(req.job, Flight{req.from, req.to, MigrationStage::kSuspending, {}});
+    const util::JobId id = req.job;
+    fed_.engine().schedule_in(exec.latencies().suspend_job, sim::EventPriority::kMigration,
+                              [this, id] { begin_transfer(id); });
+    return;
+  }
+  // Pending (never started: nothing to checkpoint, re-routed instantly)
+  // or suspended: checkpoint now.
+  flights_.emplace(req.job, Flight{req.from, req.to, MigrationStage::kCheckpointed,
+                                   checkpoint_job(job, req.from, now)});
+  begin_transfer(req.job);
 }
 
 void MigrationManager::begin_transfer(util::JobId id) {
@@ -184,7 +139,7 @@ void MigrationManager::begin_transfer(util::JobId id) {
   core::World& world = fed_.domain(flight.from).world();
   if (!world.job_exists(id)) {
     flights_.erase(it);
-    trace_flight_end(id, "move_orphaned");
+    obs_.migration_end(id, "move_orphaned", fed_.engine().now().get());
     return;
   }
   workload::Job& job = world.job(id);
@@ -199,7 +154,7 @@ void MigrationManager::begin_transfer(util::JobId id) {
       ++stats_.cancelled;
       --stats_.in_flight;
       flights_.erase(it);
-      trace_flight_end(id, "move_aborted");
+      obs_.migration_end(id, "move_aborted", fed_.engine().now().get());
       return;
     }
     if (job.phase() != JobPhase::kSuspended) {
@@ -215,7 +170,7 @@ void MigrationManager::begin_transfer(util::JobId id) {
       job.set_held(false);
       --stats_.in_flight;
       flights_.erase(it);
-      trace_flight_end(id, "move_aborted");
+      obs_.migration_end(id, "move_aborted", fed_.engine().now().get());
       return;
     }
     flight.ckpt = checkpoint_job(job, flight.from, fed_.engine().now());
@@ -258,13 +213,8 @@ void MigrationManager::submit_flight(util::JobId id) {
   flight.transfer_id = grant.id;
   flight.transfer_s = grant.transfer_s;
   transfer_jobs_.emplace(grant.id, id);
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kMigration, "transfer_submit",
-                        fed_.engine().now().get(),
-                        {{"job", static_cast<double>(id.get())},
-                         {"image_mb", flight.ckpt.image_size.get()},
-                         {"transfer_s", grant.transfer_s}});
-  }
+  obs_.transfer_submit(id, flight.ckpt.image_size.get(), grant.transfer_s,
+                       fed_.engine().now().get());
 }
 
 void MigrationManager::on_domain_recovered(std::size_t domain) {
@@ -324,7 +274,7 @@ void MigrationManager::land_back_at_source(util::JobId id, bool roll_back_stats)
   fed_.attach_job(flight.from, std::move(job));
   ++stats_.cancelled;
   --stats_.in_flight;
-  trace_flight_end(id, "move_landed_back");
+  obs_.migration_end(id, "move_landed_back", fed_.engine().now().get());
 }
 
 void MigrationManager::schedule_retry(util::JobId id) {
@@ -341,13 +291,7 @@ void MigrationManager::schedule_retry(util::JobId id) {
       options_.retry_backoff_s * std::pow(2.0, static_cast<double>(flight.attempts)),
       options_.retry_backoff_max_s);
   ++flight.attempts;
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kMigration, "transfer_retry_wait",
-                        fed_.engine().now().get(),
-                        {{"job", static_cast<double>(id.get())},
-                         {"attempt", static_cast<double>(flight.attempts)},
-                         {"backoff_s", backoff}});
-  }
+  obs_.transfer_retry_wait(id, flight.attempts, backoff, fed_.engine().now().get());
   flight.retry = fed_.engine().schedule_in(util::Seconds{backoff}, sim::EventPriority::kMigration,
                                            [this, id] { retry_transfer(id); });
 }
@@ -428,8 +372,7 @@ void MigrationManager::complete_transfer(util::JobId id) {
   fed_.attach_job(flight.to, std::move(job));
   ++stats_.completed;
   --stats_.in_flight;
-  if (completed_metric_ != nullptr) completed_metric_->inc();
-  trace_flight_end(id, "move_completed");
+  obs_.migration_end(id, "move_completed", fed_.engine().now().get());
 }
 
 }  // namespace heteroplace::migration

@@ -112,11 +112,10 @@ class MigrationManager {
   /// One policy evaluation right now (tests / manual stepping).
   void tick();
 
-  /// Attach observability: one async trace span per move (suspend →
-  /// checkpoint → transfer → attach arc, keyed by job id on the global
-  /// pid's migration lane), instants for retries/failbacks, tick timing,
-  /// and started/completed counters.
-  void set_obs(const obs::ObsContext& ctx);
+  /// Attach observability: one begin/end migration-phase pair per move
+  /// (suspend → checkpoint → transfer → attach, keyed by job id),
+  /// transfer submit/retry events and tick timing.
+  void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   [[nodiscard]] MigrationStats stats() const {
     MigrationStats out = stats_;
@@ -176,14 +175,9 @@ class MigrationManager {
   void schedule_retry(util::JobId id);
   void retry_transfer(util::JobId id);
 
-  /// Close a flight's async trace span ("migration", keyed by job id).
-  void trace_flight_end(util::JobId id, const char* outcome);
-
   federation::Federation& fed_;
   LinkScheduler scheduler_;
   obs::ObsContext obs_;
-  obs::Counter* started_metric_{nullptr};
-  obs::Counter* completed_metric_{nullptr};
   std::unique_ptr<MigrationPolicy> policy_;
   MigrationOptions options_;
   MigrationStats stats_;

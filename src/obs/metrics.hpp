@@ -1,16 +1,15 @@
 #pragma once
 
-// Metrics registry: counters, gauges and histograms that subsystems
-// register into, snapshot-exportable as Prometheus text exposition format
-// and as JSON. Replaces/unifies ad-hoc summary fields: the runners publish
-// the end-of-run summary and engine stats as gauges next to the live
-// instruments the subsystems increment during the run.
+// Metrics registry: counters, gauges and histograms, snapshot-exportable
+// as Prometheus text exposition format and as JSON. The runner publishes
+// the end-of-run summary, engine stats and the control-event counters
+// (from the stats each subsystem keeps) once the run is over; only the
+// equalizer-iteration histogram and the alert instruments are fed live.
 //
 // Thread-safety: instruments are lock-free atomics with relaxed ordering —
 // safe to increment from worker threads during parallel batches. The
 // registry itself (registration, export) must only be used from a serial
-// context: subsystems register in set_obs() before the run, and snapshots
-// are taken after it. Histogram bucket bounds are explicit and fixed at
+// context. Histogram bucket bounds are explicit and fixed at
 // registration, so exported output is deterministic.
 
 #include <atomic>

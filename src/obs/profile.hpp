@@ -10,12 +10,12 @@
 // only, and a null Profiler* makes every hook a no-op so unprofiled runs
 // pay nothing.
 //
-// All counters are relaxed atomics: ScopedTimer runs inside parallel batch
-// items on worker threads (e.g. per-domain controller cycles).
+// All counters are relaxed atomics: obs::Span (obs/context.hpp) feeds them
+// from inside parallel batch items on worker threads (e.g. per-domain
+// controller cycles).
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -60,29 +60,6 @@ class Profiler {
  private:
   std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Phase::kCount)> ns_{};
   std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Phase::kCount)> calls_{};
-};
-
-/// RAII phase timer; a null profiler makes construction and destruction
-/// each a single branch.
-class ScopedTimer {
- public:
-  ScopedTimer(Profiler* profiler, Phase phase) : profiler_(profiler), phase_(phase) {
-    if (profiler_ != nullptr) t0_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (profiler_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0_)
-                        .count();
-    profiler_->add(phase_, static_cast<std::uint64_t>(ns));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Profiler* profiler_;
-  Phase phase_;
-  std::chrono::steady_clock::time_point t0_;
 };
 
 /// Render a report as an aligned text table (perf_macro, examples).

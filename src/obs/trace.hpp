@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/context.hpp"  // TraceArg
 #include "sim/engine_observer.hpp"
 
 namespace heteroplace::obs {
@@ -53,13 +54,6 @@ enum class Lane : std::uint8_t {
   kCount
 };
 [[nodiscard]] const char* lane_name(Lane lane);
-
-/// One numeric event argument. Keys must be string literals (the recorder
-/// stores the pointer, not a copy).
-struct TraceArg {
-  const char* key;
-  double value;
-};
 
 /// One trace event. `name` must be a string literal. Fixed-size and
 /// trivially copyable so the ring buffer is a flat allocation.

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/sla.hpp"
-#include "obs/trace.hpp"
-
 namespace heteroplace::power {
 
 namespace {
@@ -65,16 +60,6 @@ PowerManager::PowerManager(sim::Engine& engine, core::World& world, PowerModel m
   }
 }
 
-void PowerManager::set_obs(const obs::ObsContext& ctx) {
-  obs_ = ctx;
-  if (obs_.metrics != nullptr) {
-    parks_metric_ =
-        &obs_.metrics->counter("power_parks_total", "Node park transitions begun", obs_.labels);
-    wakes_metric_ =
-        &obs_.metrics->counter("power_wakes_total", "Node wake transitions begun", obs_.labels);
-  }
-}
-
 void PowerManager::start() {
   if (started_) throw std::logic_error("PowerManager::start: already started");
   started_ = true;
@@ -100,8 +85,8 @@ std::size_t PowerManager::parked_count() const {
 }
 
 void PowerManager::tick() {
-  const obs::ScopedTimer tick_timer(obs_.profiler, obs::Phase::kPowerTick);
   const util::Seconds now = engine_.now();
+  const obs::Span tick_span(obs_, obs::SpanKind::kPowerTick, now.get());
   auto& cl = world_.cluster();
 
   // Idle bookkeeping (tick granularity): a node's idle clock starts the
@@ -182,11 +167,7 @@ void PowerManager::tick() {
 void PowerManager::park_node(util::NodeId id) {
   world_.cluster().set_power_state(id, PowerState::kParking);
   ++stats_.parks;
-  if (parks_metric_ != nullptr) parks_metric_->inc();
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kPower, "park", engine_.now().get(),
-                        {{"node", static_cast<double>(id.get())}});
-  }
+  obs_.node_park(id, engine_.now().get());
   // The node draws active power through the transition; the meter
   // switches to the sleep draw when the park latency elapses.
   const std::size_t idx = id.get();
@@ -198,44 +179,31 @@ void PowerManager::park_node(util::NodeId id) {
                         if (cl.node(id).power_state() != PowerState::kParking) return;
                         cl.set_power_state(id, PowerState::kParked);
                         meter_.set_draw(idx, model_.parked_w(options_.park_depth), engine_.now());
-                        if (obs_.trace != nullptr) {
-                          obs_.trace->instant(obs_.pid, obs::Lane::kPower, "parked",
-                                              engine_.now().get(),
-                                              {{"node", static_cast<double>(id.get())}});
-                        }
+                        obs_.node_parked(id, engine_.now().get());
                       });
 }
 
 void PowerManager::wake_node(util::NodeId id) {
   world_.cluster().set_power_state(id, PowerState::kWaking);
   ++stats_.wakes;
-  if (wakes_metric_ != nullptr) wakes_metric_->inc();
-  if (obs_.sla != nullptr) obs_.sla->on_wake_begin(engine_.now().get());
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kPower, "wake", engine_.now().get(),
-                        {{"node", static_cast<double>(id.get())}});
-  }
+  obs_.node_wake(id, engine_.now().get());
   // Spin-up draws active power immediately; capacity arrives only when
   // the wake latency elapses and the node rejoins placement.
   meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
   engine_.schedule_in(util::Seconds{model_.wake_latency_s}, sim::EventPriority::kPower,
                       options_.shard, [this, id] {
                         cluster::Cluster& cl = world_.cluster();
-                        // The wake interval ends here even when a crash
-                        // mid-wake aborts the transition below — the ledger's
-                        // begin/end metering must stay balanced.
-                        if (obs_.sla != nullptr) obs_.sla->on_wake_end(engine_.now().get());
                         // See park_node: a crash mid-wake leaves the node to
-                        // the fault injector.
-                        if (cl.node(id).power_state() != PowerState::kWaking) return;
-                        cl.set_power_state(id, PowerState::kActive);
-                        cl.set_speed_factor(id, model_.speed_at(pstate_));
-                        meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
-                        if (obs_.trace != nullptr) {
-                          obs_.trace->instant(obs_.pid, obs::Lane::kPower, "woke",
-                                              engine_.now().get(),
-                                              {{"node", static_cast<double>(id.get())}});
+                        // the fault injector. The wake interval ends either
+                        // way — the ledger's begin/end metering must stay
+                        // balanced.
+                        const bool rejoined = cl.node(id).power_state() == PowerState::kWaking;
+                        if (rejoined) {
+                          cl.set_power_state(id, PowerState::kActive);
+                          cl.set_speed_factor(id, model_.speed_at(pstate_));
+                          meter_.set_draw(id.get(), model_.active_w(pstate_), engine_.now());
                         }
+                        obs_.node_woke(id, rejoined, engine_.now().get());
                       });
 }
 
@@ -249,14 +217,9 @@ void PowerManager::apply_pstate(int p) {
   pstate_ = p;
   ++stats_.pstate_changes;
   const util::Seconds now = engine_.now();
-  if (obs_.trace != nullptr) {
-    obs_.trace->instant(obs_.pid, obs::Lane::kPower, "pstate", now.get(),
-                        {{"p", static_cast<double>(p)},
-                         {"speed", model_.speed_at(p)},
-                         {"active_w", model_.active_w(p)}});
-  }
   const double factor = model_.speed_at(p);
   const double watts = model_.active_w(p);
+  obs_.pstate(p, factor, watts, now.get());
   auto& cl = world_.cluster();
   for (std::size_t i = 0; i < cl.node_count(); ++i) {
     const util::NodeId id{static_cast<util::NodeId::underlying_type>(i)};

@@ -93,9 +93,9 @@ class PowerManager {
   /// One policy evaluation right now (tests / manual stepping).
   void tick();
 
-  /// Attach observability: park/wake/P-state instants on this domain's
-  /// power lane, tick timing, and park/wake counters.
-  void set_obs(const obs::ObsContext& ctx);
+  /// Attach this domain's observability context: park/wake/P-state
+  /// events and tick timing.
+  void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   /// Fault-injection hooks (see faults::FaultInjector). A crashed node
   /// draws zero power and sits outside the sleep-state machine until its
@@ -132,8 +132,6 @@ class PowerManager {
   EnergyMeter meter_;
   PowerStats stats_;
   obs::ObsContext obs_;
-  obs::Counter* parks_metric_{nullptr};
-  obs::Counter* wakes_metric_{nullptr};
   int pstate_{0};
   /// Per-node time the node was first seen empty (tick granularity);
   /// negative while hosting or not active.

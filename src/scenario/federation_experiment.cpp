@@ -132,8 +132,10 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     obs.trace->set_process_name(0, "global");
   }
   if (obs.profiler) engine.enable_timing();
+  // The global/serial spine's context: router, migration, faults, sampling.
+  const obs::ObsContext spine = obs.context(0);
   federation::Federation fed(engine, federation::make_router(fs.router));
-  if (obs.any()) fed.set_obs(obs.context(0));
+  fed.set_obs(spine);
 
   // --- models (shared across domains) ----------------------------------------
   auto job_model = std::make_shared<utility::JobUtilityModel>(
@@ -158,11 +160,9 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
         make_experiment_policy(options, fs.controller.solver, job_model, tx_model, noise_seed),
         fs.controller.latencies, cfg, /*auto_stagger=*/!explicit_phase);
     populate_cluster(d.world().cluster(), spec.cluster);
-    if (obs.any()) {
-      const auto pid = static_cast<std::uint32_t>(i + 1);
-      if (obs.trace) obs.trace->set_process_name(pid, spec.name);
-      d.controller().set_obs(obs.context(pid, spec.name));
-    }
+    const auto pid = static_cast<std::uint32_t>(i + 1);
+    if (obs.trace) obs.trace->set_process_name(pid, spec.name);
+    d.controller().set_obs(obs.context(pid, spec.name));
   }
 
   // --- apps (router splits demand across domains) -----------------------------
@@ -184,17 +184,18 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
   std::vector<MetricsRecorder> recorders;
   recorders.reserve(fed.domain_count());
   std::vector<long> violations(fed.domain_count(), 0);
-  // Admitting-domain SLA ledgers, indexed by domain. The arrival lambdas
-  // credit on_admit to whichever domain the router picks.
-  std::vector<obs::SlaLedger*> domain_ledgers(fed.domain_count(), nullptr);
+  // Equalizer-iteration histograms, one per domain; only the utility
+  // policy equalizes, so other policies register none.
+  std::vector<obs::Histogram*> eq_iterations(fed.domain_count(), nullptr);
   for (std::size_t i = 0; i < fed.domain_count(); ++i) {
     recorders.emplace_back(fed.domain(i).world(), job_model, tx_model);
     recorders.back().summary().scenario = fs.name + "/" + fed.domain(i).name();
     recorders.back().summary().policy = to_string(options.policy);
-    if (obs.sla_on) {
-      domain_ledgers[i] =
-          obs.context(static_cast<std::uint32_t>(i + 1), fed.domain(i).name()).sla;
-      recorders.back().set_sla(domain_ledgers[i]);
+    recorders.back().set_sla(fed.domain(i).controller().obs().sla);
+    if (obs.metrics && options.policy == PolicyKind::kUtilityDriven) {
+      eq_iterations[i] = &obs.metrics->histogram(
+          "controller_equalizer_iterations", "Bisection iterations per equalize call",
+          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}, obs::prometheus_label("domain", fed.domain(i).name()));
     }
     // Domain-level hook (not the raw executor slot, which the federation
     // owns for its load aggregates).
@@ -203,6 +204,9 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
   }
   fed.set_cycle_observer([&](const federation::Domain& d, const core::CycleReport& report) {
     recorders[d.index()].on_cycle(report);
+    if (eq_iterations[d.index()] != nullptr && report.diag.eq_iterations >= 0) {
+      eq_iterations[d.index()]->observe(static_cast<double>(report.diag.eq_iterations));
+    }
     if (options.validate_invariants) {
       const auto issues = d.world().cluster().validate();
       violations[d.index()] += static_cast<long>(issues.size());
@@ -213,11 +217,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
   // --- schedule arrivals, weight events, sampling, control loops --------------
   for (const auto& spec : job_specs) {
     engine.schedule_at(spec.submit_time, sim::EventPriority::kWorkloadArrival,
-                       [&fed, &domain_ledgers, spec] {
-                         const federation::Domain& d = fed.submit_job(spec);
-                         obs::SlaLedger* const sla = domain_ledgers[d.index()];
-                         if (sla != nullptr) sla->on_admit(spec.id, spec.submit_time.get());
-                       });
+                       [&fed, spec] { fed.submit_job(spec); });
   }
   for (const auto& ev : fs.weight_events) {
     if (ev.domain >= fed.domain_count()) {
@@ -260,7 +260,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     migration_mgr.emplace(fed, std::move(transfer),
                           migration::make_migration_policy(fs.migration.policy, pol_cfg),
                           mig_opts);
-    if (obs.any()) migration_mgr->set_obs(obs.context(0));
+    migration_mgr->set_obs(spine);
   }
 
   // --- power subsystem (optional) -----------------------------------------------
@@ -273,10 +273,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
                                               fs.controller.cycle_s,
                                               domains[i].power_cap_w,
                                               static_cast<sim::ShardId>(i)));
-      if (obs.any()) {
-        power_mgrs.back()->set_obs(
-            obs.context(static_cast<std::uint32_t>(i + 1), fed.domain(i).name()));
-      }
+      power_mgrs.back()->set_obs(fed.domain(i).controller().obs());
     }
   }
 
@@ -306,7 +303,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
         build_fault_schedule(fs.faults, fs.seed, horizon, nodes_per_domain), fault_opts);
     injector->set_federation(&fed);
     if (migration_mgr) injector->set_migration(&*migration_mgr);
-    if (obs.any()) injector->set_obs(obs.context(0));
+    injector->set_obs(spine);
   }
 
   // Per-domain and federation-aggregated samples share one
@@ -400,7 +397,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
 
   const util::Seconds sample_dt{fs.sample_interval_s};
   std::function<void()> sample_tick = [&] {
-    const obs::ScopedTimer sample_timer(obs.profiler.get(), obs::Phase::kSampling);
+    const obs::Span span(spine, obs::SpanKind::kSampling, engine.now().get());
     sample_all(engine.now());
     // Serial tick; ledgers visited in fixed domain order, so alert
     // open/close instants are byte-identical across engine thread counts.
@@ -503,6 +500,35 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     obs.metrics
         ->gauge("engine_parallel_batches_total", "Parallel batches dispatched to the pool")
         .set(static_cast<double>(engine.parallel_batches()));
+    // Control-event counters, from the stats each subsystem keeps.
+    const auto count = [&](const char* name, const char* help, long value,
+                           const std::string& labels = "") {
+      obs.metrics->counter(name, help, labels).inc(static_cast<std::uint64_t>(value));
+    };
+    long routed_total = 0;
+    for (long n : routed) routed_total += n;
+    count("federation_routed_jobs_total", "Jobs routed to any domain", routed_total);
+    for (std::size_t i = 0; i < fed.domain_count(); ++i) {
+      const std::string label = obs::prometheus_label("domain", fed.domain(i).name());
+      const core::PlacementController& ctrl = fed.domain(i).controller();
+      count("controller_cycles_total", "Control cycles evaluated", ctrl.cycles_run(), label);
+      count("controller_missed_cycles_total", "Cycles skipped while offline (blackout)",
+            ctrl.missed_cycles(), label);
+      if (!power_mgrs.empty()) {
+        const power::PowerStats& ps = power_mgrs[i]->stats();
+        count("power_parks_total", "Node park transitions begun", ps.parks, label);
+        count("power_wakes_total", "Node wake transitions begun", ps.wakes, label);
+      }
+    }
+    if (migration_mgr) {
+      count("migration_moves_started_total", "Cross-domain moves initiated", out.migration.started);
+      count("migration_moves_completed_total", "Cross-domain moves attached at destination",
+            out.migration.completed);
+    }
+    if (injector) {
+      count("faults_injected_total", "Fault windows fired (not recoveries)",
+            out.faults.windows_fired);
+    }
     for (std::size_t i = 0; i < fed.domain_count(); ++i) {
       const cluster::Cluster& cl = fed.domain(i).world().cluster();
       if (!cl.classes().explicit_classes()) continue;

@@ -70,10 +70,8 @@ void validate_obs_spec(const ObsSpec& spec) {
 obs::ObsContext Observability::context(std::uint32_t pid, const std::string& domain) {
   obs::ObsContext ctx;
   ctx.trace = trace.get();
-  ctx.metrics = metrics.get();
   ctx.profiler = profiler.get();
   ctx.pid = pid;
-  if (!domain.empty()) ctx.labels = obs::prometheus_label("domain", domain);
   if (pid >= 1 && (sla_on || audit_on)) {
     const std::size_t slot = pid - 1;
     const std::string name = domain.empty() ? "default" : domain;

@@ -49,9 +49,9 @@ struct Observability {
     return trace != nullptr || metrics != nullptr || profiler != nullptr || sla_on || audit_on;
   }
   /// Context handed to a subsystem: pid 0 = global/serial spine, i+1 =
-  /// domain i; `domain` is the label value for that domain's metrics
-  /// (empty = no label). Domain contexts (pid >= 1) also carry that
-  /// domain's SLA ledger / audit log, created here on first use.
+  /// domain i, named `domain` (empty = "default"). Domain contexts
+  /// (pid >= 1) also carry that domain's SLA ledger / audit log, created
+  /// here on first use.
   [[nodiscard]] obs::ObsContext context(std::uint32_t pid, const std::string& domain = "");
   /// Ledgers / audit logs in domain order (alert evaluation, report
   /// rendering, audit dump).

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -451,4 +454,160 @@ TEST(ObsInvariance, StreamedTraceValidates) {
   const std::vector<std::string> problems =
       obs::validate_chrome_trace_file(s.obs.trace_path);
   EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
+}
+
+// --- emission-path pins -------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Runs the body with HETEROPLACE_FORCE_THREADS unset, so a pin taken at
+/// engine.threads=1 holds under a forced-threads CI job too (the
+/// engine_parallel_batches_total gauge depends on the thread count).
+class UnforcedThreads {
+ public:
+  UnforcedThreads() {
+    if (const char* v = std::getenv("HETEROPLACE_FORCE_THREADS")) saved_ = v;
+    ::unsetenv("HETEROPLACE_FORCE_THREADS");
+  }
+  ~UnforcedThreads() {
+    if (!saved_.empty()) ::setenv("HETEROPLACE_FORCE_THREADS", saved_.c_str(), 1);
+  }
+  UnforcedThreads(const UnforcedThreads&) = delete;
+  UnforcedThreads& operator=(const UnforcedThreads&) = delete;
+
+ private:
+  std::string saved_;
+};
+
+/// everything_on_scenario() with every dump on: trace ring, both metrics
+/// snapshots, SLA JSON/CSV (one SLO) and the audit ring, at threads=1.
+scenario::Scenario all_dumps_scenario(const std::string& tag) {
+  auto fs = everything_on_scenario();
+  fs.engine_threads = 1;
+  fs.slos.push_back({"web", 0.9, 7200.0, 1200.0, 1.0});
+  fs.obs.trace = "ring";
+  fs.obs.trace_path = temp_path(tag + "_trace.json");
+  fs.obs.metrics_path = temp_path(tag + "_metrics.prom");
+  fs.obs.metrics_json_path = temp_path(tag + "_metrics.json");
+  fs.obs.sla_report_path = temp_path(tag + "_sla.json");
+  fs.obs.sla_report_csv_path = temp_path(tag + "_sla.csv");
+  fs.obs.audit = "ring";
+  fs.obs.audit_path = temp_path(tag + "_audit.json");
+  return fs;
+}
+
+}  // namespace
+
+TEST(ObsInvariance, DumpsPinned) {
+  // Every sink's end-of-run dump, pinned byte for byte: a refactor of the
+  // emission path must leave all six files unchanged.
+  const UnforcedThreads unforced;
+  const auto fs = all_dumps_scenario("pin");
+  (void)scenario::run_federated_experiment(fs, scenario::ExperimentOptions{});
+  const std::pair<std::string, std::uint64_t> pins[] = {
+      {fs.obs.trace_path, 0xd8b163b0be74004fULL},
+      {fs.obs.metrics_path, 0xd1df26c74edc137cULL},
+      {fs.obs.metrics_json_path, 0xa4c6908221df4297ULL},
+      {fs.obs.sla_report_path, 0xa0a1acc47505bba4ULL},
+      {fs.obs.sla_report_csv_path, 0xbefdcbac658ba32fULL},
+      {fs.obs.audit_path, 0xe97386e46e13429aULL},
+  };
+  for (const auto& [path, want] : pins) {
+    const std::string bytes = read_file(path);
+    ASSERT_FALSE(bytes.empty()) << path;
+    EXPECT_EQ(fnv1a64(bytes), want) << path << " 0x" << std::hex << fnv1a64(bytes);
+  }
+}
+
+namespace {
+
+/// What one run's dumps say: trace events by "<ph>:<name>", metrics
+/// families summed over their label sets, and SLA-ledger job records.
+struct SinkCounts {
+  std::map<std::string, int> trace;
+  std::map<std::string, double> metrics;
+  int ledger_jobs{0};
+
+  [[nodiscard]] int family(const std::string& name) const {
+    double total = 0.0;
+    for (const auto& [sample, v] : metrics) {
+      if (sample == name || sample.rfind(name + "{", 0) == 0) total += v;
+    }
+    return static_cast<int>(total);
+  }
+};
+
+SinkCounts run_and_count(scenario::Scenario fs) {
+  fs.obs.trace_ring_capacity = 1L << 20;  // nothing drops
+  (void)scenario::run_federated_experiment(fs, scenario::ExperimentOptions{});
+  SinkCounts c;
+  const obs::JsonValue doc = obs::parse_json(read_file(fs.obs.trace_path));
+  for (const obs::JsonValue& ev : doc.find("traceEvents")->array) {
+    if (ev.find("ph")->string == "M") continue;
+    ++c.trace[ev.find("ph")->string + ":" + ev.find("name")->string];
+  }
+  c.metrics = obs::parse_prometheus_text(read_file(fs.obs.metrics_path));
+  c.ledger_jobs = static_cast<int>(
+      obs::parse_json(read_file(fs.obs.sla_report_path)).find("jobs")->array.size());
+  return c;
+}
+
+}  // namespace
+
+TEST(ObsInvariance, SinksAgreeOnControlEventCounts) {
+  // One event, every sink: the trace's events, the SLA ledger's records
+  // and the metrics counters must count the same control events.
+  SinkCounts c = run_and_count(all_dumps_scenario("agree"));
+  const int completed = c.trace["i:job_completed"];
+  EXPECT_GT(completed, 0);
+  EXPECT_EQ(completed, c.ledger_jobs);
+  EXPECT_EQ(completed, c.family("run_jobs_completed"));
+
+  EXPECT_GT(c.trace["b:migration"], 0);
+  EXPECT_EQ(c.trace["b:migration"], c.family("migration_moves_started_total"));
+  EXPECT_EQ(c.trace["i:move_completed"], c.family("migration_moves_completed_total"));
+
+  const int faults = c.trace["i:node-crash"] + c.trace["i:link-down"] + c.trace["i:blackout"];
+  EXPECT_EQ(faults, 2);
+  EXPECT_EQ(faults, c.family("faults_injected_total"));
+
+  // The everything-on scenario never idles a node, so power transitions
+  // are checked on a diurnal two-domain run that parks overnight and
+  // wakes for the next day's peak.
+  scenario::Scenario s = scenario::section3_scaled(0.4);
+  s.seed = 11;
+  workload::DemandTrace diurnal;
+  for (int day = 0; day < 2; ++day) {
+    diurnal.add(util::Seconds{day * 86400.0}, 1.5);
+    diurnal.add(util::Seconds{day * 86400.0 + 28800.0}, 14.0);
+    diurnal.add(util::Seconds{day * 86400.0 + 64800.0}, 1.5);
+  }
+  s.apps[0].trace = diurnal;
+  s.jobs.count = 30;
+  s.jobs.mean_interarrival_s = 700.0;
+  s.jobs.tmpl.work = util::MhzSeconds{6.0e6};
+  s.horizon_s = 2.0 * 86400.0;
+  s.power.enabled = true;
+  s.power.idle_timeout_s = 1800.0;
+  s.power.min_active_nodes = 2;
+  scenario::Scenario power = scenario::federate(s, 2);
+  const scenario::Scenario dumps = all_dumps_scenario("agree_power");
+  power.slos = dumps.slos;
+  power.obs = dumps.obs;
+  c = run_and_count(power);
+  EXPECT_GT(c.trace["i:park"], 0);
+  EXPECT_EQ(c.trace["i:park"], c.family("power_parks_total"));
+  EXPECT_GT(c.trace["i:wake"], 0);
+  EXPECT_EQ(c.trace["i:wake"], c.family("power_wakes_total"));
+  EXPECT_EQ(c.trace["i:job_completed"], c.ledger_jobs);
+  EXPECT_EQ(c.trace["i:job_completed"], c.family("run_jobs_completed"));
 }
