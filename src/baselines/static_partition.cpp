@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 namespace heteroplace::baselines {
@@ -19,7 +18,6 @@ core::PolicyOutput StaticPartitionPolicy::decide(const core::World& world, util:
 
   // --- transactional tier: one instance of every app on each TX node -----
   // (subject to memory), CPU split evenly among the apps on a node.
-  const auto n_apps = world.apps().size();
   for (int ni = 0; ni < n_tx; ++ni) {
     const auto& node = nodes[ni];
     if (!node.placeable()) continue;  // parked by the power manager
@@ -120,7 +118,7 @@ core::PolicyOutput StaticPartitionPolicy::decide(const core::World& world, util:
     d.target = out.plan.app_cpu(app.id());
     out.diag.apps.push_back(d);
   }
-  (void)n_apps;
+  out.plan.sort();  // the plan-order contract (cluster/placement.hpp)
   return out;
 }
 

@@ -7,10 +7,16 @@
 // CPU share c", "app A should have an instance on node N with share c".
 // The executor diffs the plan against cluster reality and emits actions
 // (start/suspend/resume/migrate/resize) to converge.
+//
+// Order contract: every policy returns `jobs` sorted by job id and
+// `instances` sorted by (app, node), each key at most once (sort() puts a
+// plan in that order, in_order() checks it). The executor relies on it to
+// look the plan up with a merge walk instead of building an index per call.
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -31,13 +37,29 @@ struct DesiredWebInstance {
 };
 
 struct PlacementPlan {
-  /// Jobs that should be executing. Jobs absent from this list should be
-  /// left pending (if never started) or suspended (if running).
+  /// Jobs that should be executing, sorted by job id. Jobs absent from
+  /// this list should be left pending (if never started) or suspended (if
+  /// running).
   std::vector<DesiredJobPlacement> jobs;
 
-  /// Web instances that should exist, at most one per (app, node) pair.
-  /// Existing instances on nodes not listed are stopped.
+  /// Web instances that should exist, at most one per (app, node) pair,
+  /// sorted by (app, node). Existing instances on nodes not listed are
+  /// stopped.
   std::vector<DesiredWebInstance> instances;
+
+  /// Put the plan into the contract order. Keys must already be unique.
+  void sort() {
+    std::sort(jobs.begin(), jobs.end(), job_before);
+    std::sort(instances.begin(), instances.end(), instance_before);
+  }
+
+  /// True when both lists are strictly increasing in the contract order.
+  [[nodiscard]] bool in_order() const {
+    const auto job_out = [](const auto& a, const auto& b) { return !job_before(a, b); };
+    const auto inst_out = [](const auto& a, const auto& b) { return !instance_before(a, b); };
+    return std::adjacent_find(jobs.begin(), jobs.end(), job_out) == jobs.end() &&
+           std::adjacent_find(instances.begin(), instances.end(), inst_out) == instances.end();
+  }
 
   [[nodiscard]] std::optional<DesiredJobPlacement> find_job(util::JobId id) const {
     for (const auto& j : jobs) {
@@ -63,6 +85,14 @@ struct PlacementPlan {
   friend std::ostream& operator<<(std::ostream& os, const PlacementPlan& p) {
     os << "plan{jobs=" << p.jobs.size() << ", instances=" << p.instances.size() << "}";
     return os;
+  }
+
+ private:
+  static bool job_before(const DesiredJobPlacement& a, const DesiredJobPlacement& b) {
+    return a.job < b.job;
+  }
+  static bool instance_before(const DesiredWebInstance& a, const DesiredWebInstance& b) {
+    return std::tie(a.app, a.node) < std::tie(b.app, b.node);
   }
 };
 

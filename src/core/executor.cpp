@@ -1,8 +1,10 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "util/log.hpp"
@@ -79,8 +81,10 @@ void ActionExecutor::finish_transition_to_running(util::JobId job_id) {
   schedule_completion(job);
 }
 
-void ActionExecutor::start_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu,
-                               bool is_retry) {
+void ActionExecutor::launch_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu,
+                                bool is_retry) {
+  const JobPhase from = job.phase();  // kPending: start, kSuspended: resume
+  const bool resume = from == JobPhase::kSuspended;
   if (!job.vm().valid()) {
     job.bind_vm(world_.cluster().create_job_vm(job.id(), job.spec().memory));
   }
@@ -91,53 +95,32 @@ void ActionExecutor::start_job(workload::Job& job, util::NodeId node, util::CpuM
       const util::JobId id = job.id();
       const util::Seconds retry_at =
           engine_.now() + latencies_.suspend_job + util::Seconds{1.0};
-      engine_.schedule_at(retry_at, sim::EventPriority::kStateTransition, shard_, [this, id, node, cpu] {
-        if (!world_.job_exists(id)) return;  // handed off to another domain meanwhile
-        workload::Job& j = world_.job(id);
-        if (j.phase() == JobPhase::kPending && !j.held()) start_job(j, node, cpu, /*is_retry=*/true);
-      });
+      engine_.schedule_at(retry_at, sim::EventPriority::kStateTransition, shard_,
+                          [this, id, from, node, cpu] {
+                            if (!world_.job_exists(id)) return;  // handed off meanwhile
+                            workload::Job& j = world_.job(id);
+                            if (j.phase() == from && !j.held()) {
+                              launch_job(j, node, cpu, /*is_retry=*/true);
+                            }
+                          });
     }
     return;
   }
   job.set_node(node);
-  world_.cluster().set_vm_state(job.vm(), VmState::kStarting);
-  job.set_phase(engine_.now(), JobPhase::kStarting);
-  counts_.record(ActionType::kStartJob);
-  obs_.job_started(job, node, engine_.now().get());
-  JobRuntime& rt = job_rt_[job.id()];
-  rt.pending_share = cpu.get();
-  const util::JobId id = job.id();
-  rt.transition = engine_.schedule_in(latencies_.start_job, sim::EventPriority::kStateTransition,
-                                      shard_, [this, id] { finish_transition_to_running(id); });
-}
-
-void ActionExecutor::resume_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu,
-                                bool is_retry) {
-  if (!world_.cluster().place_vm(job.vm(), node)) {
-    if (!is_retry) {
-      const util::JobId id = job.id();
-      const util::Seconds retry_at =
-          engine_.now() + latencies_.suspend_job + util::Seconds{1.0};
-      engine_.schedule_at(retry_at, sim::EventPriority::kStateTransition, shard_, [this, id, node, cpu] {
-        if (!world_.job_exists(id)) return;  // handed off to another domain meanwhile
-        workload::Job& j = world_.job(id);
-        if (j.phase() == JobPhase::kSuspended && !j.held()) {
-          resume_job(j, node, cpu, /*is_retry=*/true);
-        }
-      });
-    }
-    return;
+  world_.cluster().set_vm_state(job.vm(), resume ? VmState::kResuming : VmState::kStarting);
+  job.set_phase(engine_.now(), resume ? JobPhase::kResuming : JobPhase::kStarting);
+  counts_.record(resume ? ActionType::kResumeJob : ActionType::kStartJob);
+  if (resume) {
+    obs_.job_resumed(job, node, engine_.now().get());
+  } else {
+    obs_.job_started(job, node, engine_.now().get());
   }
-  job.set_node(node);
-  world_.cluster().set_vm_state(job.vm(), VmState::kResuming);
-  job.set_phase(engine_.now(), JobPhase::kResuming);
-  counts_.record(ActionType::kResumeJob);
-  obs_.job_resumed(job, node, engine_.now().get());
   JobRuntime& rt = job_rt_[job.id()];
   rt.pending_share = cpu.get();
   const util::JobId id = job.id();
-  rt.transition = engine_.schedule_in(latencies_.resume_job, sim::EventPriority::kStateTransition,
-                                      shard_, [this, id] { finish_transition_to_running(id); });
+  rt.transition = engine_.schedule_in(resume ? latencies_.resume_job : latencies_.start_job,
+                                      sim::EventPriority::kStateTransition, shard_,
+                                      [this, id] { finish_transition_to_running(id); });
 }
 
 bool ActionExecutor::migrate_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu) {
@@ -211,15 +194,14 @@ void ActionExecutor::forget_job(util::JobId id) {
 }
 
 void ActionExecutor::forget_instance(util::VmId vm) {
-  auto it = instance_start_.find(vm);
-  if (it != instance_start_.end()) {
-    it->second.cancel();
-    instance_start_.erase(it);
-  }
-  instance_pending_share_.erase(vm);
+  auto it = instance_rt_.find(vm);
+  if (it == instance_rt_.end()) return;
+  it->second.start.cancel();
+  instance_rt_.erase(it);
 }
 
 void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
+  assert(plan.in_order());
   const util::Seconds now = engine_.now();
   auto& cl = world_.cluster();
   obs::Span apply_span(obs_, obs::SpanKind::kExecutorApply, now.get(),
@@ -227,187 +209,194 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
                         {"planned_instances", static_cast<double>(plan.instances.size())}});
   const cluster::ActionCounts before = counts_;
 
-  // Index the desired state.
-  std::map<util::JobId, cluster::DesiredJobPlacement> desired_jobs;
-  for (const auto& j : plan.jobs) desired_jobs.emplace(j.job, j);
-  std::map<std::pair<util::AppId, util::NodeId>, util::CpuMhz> desired_insts;
-  for (const auto& i : plan.instances) desired_insts.emplace(std::make_pair(i.app, i.node), i.cpu);
+  // One snapshot serves every pass: jobs complete, hand off or change
+  // hold only in later events, never inside apply. want[i] is jobs[i]'s
+  // plan entry, or null when the plan leaves the job out.
+  const std::vector<workload::Job*> jobs = world_.active_jobs();
+  std::vector<const cluster::DesiredJobPlacement*> want(jobs.size(), nullptr);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto it = std::lower_bound(
+        plan.jobs.begin(), plan.jobs.end(), jobs[i]->id(),
+        [](const cluster::DesiredJobPlacement& d, util::JobId id) { return d.job < id; });
+    if (it != plan.jobs.end() && it->job == jobs[i]->id()) want[i] = &*it;
+  }
 
-  // Index existing web instances.
-  std::map<std::pair<util::AppId, util::NodeId>, util::VmId> existing_insts;
+  // Running/starting web instances in (app, node) order; the first VM
+  // created wins a key that two share, later ones are left alone. One
+  // merge walk against the plan gives each desired instance its existing
+  // VM (`match`, invalid = none) and marks the existing VMs it keeps.
+  struct Existing {
+    util::AppId app;
+    util::NodeId node;
+    util::VmId vm;
+    bool kept{false};
+  };
+  const auto key_less = [](const auto& a, const auto& b) {
+    return std::tie(a.app, a.node) < std::tie(b.app, b.node);
+  };
+  std::vector<Existing> existing;
   for (util::VmId vm_id : cl.web_instances()) {
     const auto& vm = cl.vm(vm_id);
     if (vm.state == VmState::kRunning || vm.state == VmState::kStarting) {
-      existing_insts.emplace(std::make_pair(vm.app, vm.node), vm_id);
+      existing.push_back({vm.app, vm.node, vm_id});
+    }
+  }
+  std::stable_sort(existing.begin(), existing.end(), key_less);
+  existing.erase(std::unique(existing.begin(), existing.end(),
+                             [](const Existing& a, const Existing& b) {
+                               return a.app == b.app && a.node == b.node;
+                             }),
+                 existing.end());
+  std::vector<util::VmId> match(plan.instances.size());
+  for (std::size_t k = 0, e = 0; k < plan.instances.size(); ++k) {
+    while (e < existing.size() && key_less(existing[e], plan.instances[k])) ++e;
+    if (e < existing.size() && !key_less(plan.instances[k], existing[e])) {
+      match[k] = existing[e].vm;
+      existing[e].kept = true;
     }
   }
 
-  // One snapshot serves every pass: jobs complete, hand off or change
-  // hold only in later events, never inside apply.
-  const std::vector<workload::Job*> jobs = world_.active_jobs();
-
-  // ---- Pass 1: suspends and instance stops --------------------------------
-  obs::Span release_pass(obs_, obs::SpanKind::kReleasePass, now.get());
-  for (workload::Job* job : jobs) {
-    if (job->phase() == JobPhase::kRunning && desired_jobs.count(job->id()) == 0) {
-      suspend_job(*job);
+  {  // ---- Pass 1: suspends and instance stops ----------------------------------
+    obs::Span span(obs_, obs::SpanKind::kReleasePass, now.get());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i]->phase() == JobPhase::kRunning && want[i] == nullptr) suspend_job(*jobs[i]);
+    }
+    for (const Existing& x : existing) {
+      if (x.kept) continue;
+      if (cl.vm(x.vm).state == VmState::kStarting) forget_instance(x.vm);
+      cl.set_vm_state(x.vm, VmState::kStopped);
+      cl.unplace_vm(x.vm);
+      counts_.record(ActionType::kStopInstance);
     }
   }
-  for (const auto& [key, vm_id] : existing_insts) {
-    if (desired_insts.count(key) > 0) continue;
-    const auto& vm = cl.vm(vm_id);
-    if (vm.state == VmState::kStarting) {
-      auto it = instance_start_.find(vm_id);
-      if (it != instance_start_.end()) {
-        it->second.cancel();
-        instance_start_.erase(it);
+
+  {  // ---- Pass 2: resizes (shrink first, then grow) ----------------------------
+    obs::Span span(obs_, obs::SpanKind::kResizePass, now.get());
+    struct Resize {
+      util::VmId vm;
+      util::CpuMhz cpu;
+      workload::Job* job;  // null for instance resizes
+    };
+    std::vector<Resize> shrinks;
+    std::vector<Resize> grows;
+    const auto plan_resize = [&](const Resize& r, double cur) {
+      if (r.cpu.get() < cur - 1e-9) {
+        shrinks.push_back(r);
+      } else if (r.cpu.get() > cur + 1e-9) {
+        grows.push_back(r);
       }
-      instance_pending_share_.erase(vm_id);
-    }
-    cl.set_vm_state(vm_id, VmState::kStopped);
-    cl.unplace_vm(vm_id);
-    counts_.record(ActionType::kStopInstance);
-  }
-  release_pass.end();
-  obs::Span resize_pass(obs_, obs::SpanKind::kResizePass, now.get());
-
-  // ---- Pass 2: resizes (shrink first, then grow) --------------------------
-  struct Resize {
-    util::VmId vm;
-    util::CpuMhz cpu;
-    util::JobId job;  // valid for job resizes
-  };
-  std::vector<Resize> shrinks;
-  std::vector<Resize> grows;
-
-  for (workload::Job* job : jobs) {
-    auto it = desired_jobs.find(job->id());
-    if (it == desired_jobs.end()) continue;
-    const auto& want = it->second;
-    switch (job->phase()) {
-      case JobPhase::kRunning:
-        if (job->node() == want.node) {
-          const double cur = job->speed().get();
-          if (want.cpu.get() < cur - 1e-9) {
-            shrinks.push_back({job->vm(), want.cpu, job->id()});
-          } else if (want.cpu.get() > cur + 1e-9) {
-            grows.push_back({job->vm(), want.cpu, job->id()});
+    };
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      workload::Job* job = jobs[i];
+      if (want[i] == nullptr) continue;
+      switch (job->phase()) {
+        case JobPhase::kRunning:
+          if (job->node() == want[i]->node) {
+            plan_resize({job->vm(), want[i]->cpu, job}, job->speed().get());
           }
-        }
-        break;
-      case JobPhase::kStarting:
-      case JobPhase::kResuming:
-      case JobPhase::kMigrating:
-        // Mid-transition: just update the share to grant on completion.
-        job_rt_[job->id()].pending_share = want.cpu.get();
-        break;
-      default:
-        break;
+          break;
+        case JobPhase::kStarting:
+        case JobPhase::kResuming:
+        case JobPhase::kMigrating:
+          // Mid-transition: just update the share to grant on completion.
+          job_rt_[job->id()].pending_share = want[i]->cpu.get();
+          break;
+        default:
+          break;
+      }
     }
-  }
-  for (const auto& [key, cpu] : desired_insts) {
-    auto it = existing_insts.find(key);
-    if (it == existing_insts.end()) continue;
-    const auto& vm = cl.vm(it->second);
-    if (vm.state == VmState::kStarting) {
-      instance_pending_share_[it->second] = cpu.get();
-      continue;
-    }
-    const double cur = vm.cpu_share.get();
-    if (cpu.get() < cur - 1e-9) {
-      shrinks.push_back({it->second, cpu, util::JobId{}});
-    } else if (cpu.get() > cur + 1e-9) {
-      grows.push_back({it->second, cpu, util::JobId{}});
-    }
-  }
-
-  auto apply_resize = [&](const Resize& r) {
-    const util::CpuMhz share = clamped_share(r.vm, r.cpu);
-    if (!cl.set_cpu_share(r.vm, share)) {
-      util::log_warn() << "executor: resize failed for vm " << r.vm;
-      return;
-    }
-    counts_.record(ActionType::kResizeCpu);
-    if (r.job.valid()) {
-      workload::Job& job = world_.job(r.job);
-      job.set_speed(now, share);
-      schedule_completion(job);
-    }
-  };
-  for (const auto& r : shrinks) apply_resize(r);
-  for (const auto& r : grows) apply_resize(r);
-  resize_pass.end({{"shrinks", static_cast<double>(shrinks.size())},
-                   {"grows", static_cast<double>(grows.size())}});
-  obs::Span migrate_pass(obs_, obs::SpanKind::kMigratePass, now.get());
-
-  // ---- Pass 3: migrations ---------------------------------------------------
-  // Fixpoint loop: a move can be blocked on memory another move is about
-  // to release, so iterate until no further move succeeds, then suspend
-  // the rest (the next cycle resumes them wherever there is room).
-  std::vector<util::JobId> moves;
-  for (workload::Job* job : jobs) {
-    auto it = desired_jobs.find(job->id());
-    if (it == desired_jobs.end()) continue;
-    if (job->phase() == JobPhase::kRunning && job->node() != it->second.node) {
-      moves.push_back(job->id());
-    }
-  }
-  bool progress = true;
-  while (progress && !moves.empty()) {
-    progress = false;
-    for (auto it = moves.begin(); it != moves.end();) {
-      workload::Job& job = world_.job(*it);
-      const auto& want = desired_jobs.at(*it);
-      if (migrate_job(job, want.node, want.cpu)) {
-        it = moves.erase(it);
-        progress = true;
+    for (std::size_t k = 0; k < plan.instances.size(); ++k) {
+      if (!match[k].valid()) continue;
+      const auto& vm = cl.vm(match[k]);
+      if (vm.state == VmState::kStarting) {
+        instance_rt_[match[k]].pending_share = plan.instances[k].cpu.get();
       } else {
-        ++it;
+        plan_resize({match[k], plan.instances[k].cpu, nullptr}, vm.cpu_share.get());
       }
     }
-  }
-  for (util::JobId id : moves) suspend_job(world_.job(id));
-  migrate_pass.end({{"stranded", static_cast<double>(moves.size())}});
-  obs::Span start_pass(obs_, obs::SpanKind::kStartPass, now.get());
 
-  // ---- Pass 4: starts and resumes -------------------------------------------
-  for (workload::Job* job : jobs) {
-    auto it = desired_jobs.find(job->id());
-    if (it == desired_jobs.end()) continue;
-    if (job->phase() == JobPhase::kPending) {
-      start_job(*job, it->second.node, it->second.cpu, /*is_retry=*/false);
-    } else if (job->phase() == JobPhase::kSuspended) {
-      resume_job(*job, it->second.node, it->second.cpu, /*is_retry=*/false);
+    const auto apply_resize = [&](const Resize& r) {
+      const util::CpuMhz share = clamped_share(r.vm, r.cpu);
+      if (!cl.set_cpu_share(r.vm, share)) {
+        util::log_warn() << "executor: resize failed for vm " << r.vm;
+        return;
+      }
+      counts_.record(ActionType::kResizeCpu);
+      if (r.job != nullptr) {
+        r.job->set_speed(now, share);
+        schedule_completion(*r.job);
+      }
+    };
+    for (const auto& r : shrinks) apply_resize(r);
+    for (const auto& r : grows) apply_resize(r);
+    span.end({{"shrinks", static_cast<double>(shrinks.size())},
+              {"grows", static_cast<double>(grows.size())}});
+  }
+
+  {  // ---- Pass 3: migrations ---------------------------------------------------
+    // Fixpoint loop: a move can be blocked on memory another move is about
+    // to release, so iterate until no further move succeeds, then suspend
+    // the rest (the next cycle resumes them wherever there is room).
+    obs::Span span(obs_, obs::SpanKind::kMigratePass, now.get());
+    std::vector<std::size_t> moves;  // indexes into jobs
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (want[i] != nullptr && jobs[i]->phase() == JobPhase::kRunning &&
+          jobs[i]->node() != want[i]->node) {
+        moves.push_back(i);
+      }
+    }
+    bool progress = true;
+    while (progress && !moves.empty()) {
+      progress = false;
+      for (auto it = moves.begin(); it != moves.end();) {
+        if (migrate_job(*jobs[*it], want[*it]->node, want[*it]->cpu)) {
+          it = moves.erase(it);
+          progress = true;
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (std::size_t i : moves) suspend_job(*jobs[i]);
+    span.end({{"stranded", static_cast<double>(moves.size())}});
+  }
+
+  {  // ---- Pass 4: starts and resumes -------------------------------------------
+    obs::Span span(obs_, obs::SpanKind::kStartPass, now.get());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (want[i] == nullptr) continue;
+      if (jobs[i]->phase() == JobPhase::kPending || jobs[i]->phase() == JobPhase::kSuspended) {
+        launch_job(*jobs[i], want[i]->node, want[i]->cpu, /*is_retry=*/false);
+      }
+    }
+    for (std::size_t k = 0; k < plan.instances.size(); ++k) {
+      if (match[k].valid()) continue;
+      const cluster::DesiredWebInstance& inst = plan.instances[k];
+      const util::VmId vm_id =
+          cl.create_web_vm(inst.app, world_.app(inst.app).spec().instance_memory);
+      if (!cl.place_vm(vm_id, inst.node)) {
+        // Memory not free yet (draining suspension): drop this instance for
+        // now; the next cycle will re-plan it.
+        cl.set_vm_state(vm_id, VmState::kStopped);
+        continue;
+      }
+      cl.set_vm_state(vm_id, VmState::kStarting);
+      counts_.record(ActionType::kStartInstance);
+      InstanceRuntime& rt = instance_rt_[vm_id];
+      rt.pending_share = inst.cpu.get();
+      rt.start = engine_.schedule_in(
+          latencies_.start_instance, sim::EventPriority::kStateTransition, shard_, [this, vm_id] {
+            auto& cl2 = world_.cluster();
+            cl2.set_vm_state(vm_id, VmState::kRunning);
+            const double share_want = instance_rt_[vm_id].pending_share;
+            const util::CpuMhz share = clamped_share(vm_id, util::CpuMhz{share_want});
+            if (!cl2.set_cpu_share(vm_id, share)) {
+              util::log_warn() << "executor: failed to grant share to instance vm " << vm_id;
+            }
+            instance_rt_.erase(vm_id);
+          });
     }
   }
-  for (const auto& [key, cpu] : desired_insts) {
-    if (existing_insts.count(key) > 0) continue;
-    const auto [app_id, node_id] = key;
-    const workload::TxApp& app = world_.app(app_id);
-    const util::VmId vm_id = cl.create_web_vm(app_id, app.spec().instance_memory);
-    if (!cl.place_vm(vm_id, node_id)) {
-      // Memory not free yet (draining suspension): drop this instance for
-      // now; the next cycle will re-plan it.
-      cl.set_vm_state(vm_id, VmState::kStopped);
-      continue;
-    }
-    cl.set_vm_state(vm_id, VmState::kStarting);
-    counts_.record(ActionType::kStartInstance);
-    instance_pending_share_[vm_id] = cpu.get();
-    instance_start_[vm_id] = engine_.schedule_in(
-        latencies_.start_instance, sim::EventPriority::kStateTransition, shard_, [this, vm_id] {
-          auto& cl2 = world_.cluster();
-          cl2.set_vm_state(vm_id, VmState::kRunning);
-          const double want = instance_pending_share_[vm_id];
-          const util::CpuMhz share = clamped_share(vm_id, util::CpuMhz{want});
-          if (!cl2.set_cpu_share(vm_id, share)) {
-            util::log_warn() << "executor: failed to grant share to instance vm " << vm_id;
-          }
-          instance_start_.erase(vm_id);
-          instance_pending_share_.erase(vm_id);
-        });
-  }
-  start_pass.end();
   apply_span.end(
       {{"suspends", static_cast<double>(counts_.suspends - before.suspends)},
        {"migrations", static_cast<double>(counts_.migrations - before.migrations)},

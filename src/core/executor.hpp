@@ -14,6 +14,16 @@
 //   3. migrations (with fallback to suspension when memory is not yet free),
 //   4. starts and resumes (with a short retry when blocked on memory that
 //      a concurrent suspension is still draining).
+// Job actions within a pass follow World::active_jobs() order; instance
+// actions follow (app, node) order.
+//
+// Cost per apply(): O(live jobs · log planned jobs + web instances ·
+// log web instances + plan size), with no map lookup per job and no index
+// kept between calls. It relies on the plan-order contract
+// (cluster/placement.hpp): each live job finds its plan entry with one
+// binary search, and the live web instances, sorted by (app, node), are
+// merged against plan.instances in one walk. Debug builds assert the
+// order.
 
 #include <functional>
 #include <map>
@@ -76,14 +86,23 @@ class ActionExecutor {
   [[nodiscard]] cluster::ActionCounts take_counts_delta();
 
  private:
+  // The map-based reference apply() in tests/executor_test.cpp drives the
+  // same mechanics as apply() to check it action for action.
+  friend struct ExecutorOracle;
+
   struct JobRuntime {
     sim::EventHandle completion;   // pending completion event
     sim::EventHandle transition;   // pending start/resume/migrate/suspend end
     double pending_share{0.0};     // CPU share to grant when transition ends
   };
+  struct InstanceRuntime {
+    sim::EventHandle start;        // pending end of the start latency
+    double pending_share{0.0};     // CPU share to grant when it ends
+  };
 
-  void start_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu, bool is_retry);
-  void resume_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu, bool is_retry);
+  /// Start a pending job or resume a suspended one on `node`; when its
+  /// memory does not fit yet, retry once after the suspend latency.
+  void launch_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu, bool is_retry);
   /// Returns false when the destination cannot take the job yet.
   bool migrate_job(workload::Job& job, util::NodeId node, util::CpuMhz cpu);
   void suspend_job(workload::Job& job);
@@ -103,8 +122,7 @@ class ActionExecutor {
   cluster::ActionCounts counts_;
   cluster::ActionCounts counts_at_last_delta_;
   std::map<util::JobId, JobRuntime> job_rt_;
-  std::map<util::VmId, sim::EventHandle> instance_start_;
-  std::map<util::VmId, double> instance_pending_share_;
+  std::map<util::VmId, InstanceRuntime> instance_rt_;
 };
 
 }  // namespace heteroplace::core

@@ -856,16 +856,7 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
   }
   stats.instances_total = static_cast<int>(result.plan.instances.size());
 
-  // Deterministic output order.
-  std::sort(result.plan.jobs.begin(), result.plan.jobs.end(),
-            [](const cluster::DesiredJobPlacement& a, const cluster::DesiredJobPlacement& b) {
-              return a.job < b.job;
-            });
-  std::sort(result.plan.instances.begin(), result.plan.instances.end(),
-            [](const cluster::DesiredWebInstance& a, const cluster::DesiredWebInstance& b) {
-              if (a.app != b.app) return a.app < b.app;
-              return a.node < b.node;
-            });
+  result.plan.sort();  // the plan-order contract (cluster/placement.hpp)
   return result;
 }
 

@@ -64,52 +64,55 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   const double t = now.get();
 
   // --- 1. consumers: one per active job, one per transactional app --------
-  obs::Span consumers_span(obs_, obs::SpanKind::kConsumers, t);
-  const auto jobs = world.active_jobs();
+  std::vector<const workload::Job*> jobs;
   std::vector<JobConsumer> job_consumers;
-  job_consumers.reserve(jobs.size());
-  // Class-aware delivered-speed caps: on a heterogeneous cluster a job's
-  // achievable speed saturates at the delivered MHz of the largest node
-  // its constraints admit, so the equalizer prices its curve there. A
-  // scalar cluster (no explicit classes) skips this entirely and the
-  // consumers take the exact pre-class path.
-  const bool hetero = world.cluster().classes().explicit_classes();
-  std::vector<std::pair<cluster::ConstraintSet, util::CpuMhz>> cap_cache;
-  auto speed_cap_for = [&](const cluster::ConstraintSet& c) {
-    for (const auto& [seen, cap] : cap_cache) {
-      if (seen == c) return cap;
-    }
-    util::CpuMhz cap{0.0};
-    for (const auto& n : world.cluster().nodes()) {
-      if (!n.placeable()) continue;
-      if (!c.admits(world.cluster().classes().at(n.klass()))) continue;
-      cap = std::max(cap, n.placeable_cpu());
-    }
-    cap_cache.emplace_back(c, cap);
-    return cap;
-  };
-  for (const workload::Job* job : jobs) {
-    if (hetero) {
-      job_consumers.emplace_back(*job, *job_model_, now, speed_cap_for(job->spec().constraint));
-    } else {
-      job_consumers.emplace_back(*job, *job_model_, now);
-    }
-  }
   std::vector<TxConsumer> tx_consumers;
-  tx_consumers.reserve(world.apps().size());
-  for (const auto& app : world.apps()) {
-    if (lambda_provider_) {
-      tx_consumers.emplace_back(app, *tx_model_, lambda_provider_(app, now));
-    } else {
-      tx_consumers.emplace_back(app, *tx_model_, now);
-    }
-  }
-
   std::vector<const UtilityConsumer*> consumers;
-  consumers.reserve(job_consumers.size() + tx_consumers.size());
-  for (const auto& c : job_consumers) consumers.push_back(&c);
-  for (const auto& c : tx_consumers) consumers.push_back(&c);
-  consumers_span.end({{"consumers", static_cast<double>(consumers.size())}});
+  {
+    obs::Span consumers_span(obs_, obs::SpanKind::kConsumers, t);
+    jobs = world.active_jobs();
+    job_consumers.reserve(jobs.size());
+    // Class-aware delivered-speed caps: on a heterogeneous cluster a job's
+    // achievable speed saturates at the delivered MHz of the largest node
+    // its constraints admit, so the equalizer prices its curve there. A
+    // scalar cluster (no explicit classes) skips this entirely and the
+    // consumers take the exact pre-class path.
+    const bool hetero = world.cluster().classes().explicit_classes();
+    std::vector<std::pair<cluster::ConstraintSet, util::CpuMhz>> cap_cache;
+    auto speed_cap_for = [&](const cluster::ConstraintSet& c) {
+      for (const auto& [seen, cap] : cap_cache) {
+        if (seen == c) return cap;
+      }
+      util::CpuMhz cap{0.0};
+      for (const auto& n : world.cluster().nodes()) {
+        if (!n.placeable()) continue;
+        if (!c.admits(world.cluster().classes().at(n.klass()))) continue;
+        cap = std::max(cap, n.placeable_cpu());
+      }
+      cap_cache.emplace_back(c, cap);
+      return cap;
+    };
+    for (const workload::Job* job : jobs) {
+      if (hetero) {
+        job_consumers.emplace_back(*job, *job_model_, now, speed_cap_for(job->spec().constraint));
+      } else {
+        job_consumers.emplace_back(*job, *job_model_, now);
+      }
+    }
+    tx_consumers.reserve(world.apps().size());
+    for (const auto& app : world.apps()) {
+      if (lambda_provider_) {
+        tx_consumers.emplace_back(app, *tx_model_, lambda_provider_(app, now));
+      } else {
+        tx_consumers.emplace_back(app, *tx_model_, now);
+      }
+    }
+
+    consumers.reserve(job_consumers.size() + tx_consumers.size());
+    for (const auto& c : job_consumers) consumers.push_back(&c);
+    for (const auto& c : tx_consumers) consumers.push_back(&c);
+    consumers_span.end({{"consumers", static_cast<double>(consumers.size())}});
+  }
 
   // --- 2. equalize hypothetical utility ------------------------------------
   // Parked capacity is not real capacity: the equalizer divides what the

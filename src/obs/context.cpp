@@ -32,20 +32,20 @@ void audit_action(AuditLog* audit, double now, const char* verdict, const worklo
 struct SpanSpec {
   Lane lane;
   const char* name;  // nullptr = profiler only
-  Phase phase;       // Phase::kCount = trace only
+  Phase phase;
 };
 
 constexpr SpanSpec kSpans[] = {
     {Lane::kController, "cycle", Phase::kControllerCycle},
-    {Lane::kController, "consumers", Phase::kCount},
+    {Lane::kController, "consumers", Phase::kPolicyConsumers},
     {Lane::kController, "equalize", Phase::kPolicyEqualize},
     {Lane::kController, "build_problem", Phase::kPolicyBuildProblem},
     {Lane::kController, "solve", Phase::kPolicySolve},
     {Lane::kExecutor, "apply", Phase::kExecutorApply},
-    {Lane::kExecutor, "pass1_release", Phase::kCount},
-    {Lane::kExecutor, "pass2_resize", Phase::kCount},
-    {Lane::kExecutor, "pass3_migrate", Phase::kCount},
-    {Lane::kExecutor, "pass4_start", Phase::kCount},
+    {Lane::kExecutor, "pass1_release", Phase::kExecutorRelease},
+    {Lane::kExecutor, "pass2_resize", Phase::kExecutorResize},
+    {Lane::kExecutor, "pass3_migrate", Phase::kExecutorMigrate},
+    {Lane::kExecutor, "pass4_start", Phase::kExecutorStart},
     {Lane::kMigration, nullptr, Phase::kMigrationTick},
     {Lane::kPower, nullptr, Phase::kPowerTick},
     {Lane::kFaults, nullptr, Phase::kFaultEvent},
@@ -210,7 +210,7 @@ void ObsContext::cycle_skipped(double now) const {
 
 Span::Span(const ObsContext& ctx, SpanKind kind, double t_s, std::initializer_list<TraceArg> args)
     : trace_(spec(kind).name != nullptr ? ctx.trace : nullptr),
-      profiler_(spec(kind).phase != Phase::kCount ? ctx.profiler : nullptr),
+      profiler_(ctx.profiler),
       pid_(ctx.pid),
       kind_(kind),
       t_s_(t_s) {

@@ -102,7 +102,8 @@ struct ObsContext {
 };
 
 /// Timed phases. Each kind has one row in the SpanKind table (context.cpp):
-/// its profiler phase and/or its trace lane and span name.
+/// its profiler phase and, unless it is profiler-only, its trace lane and
+/// span name.
 enum class SpanKind : std::uint8_t {
   kControllerCycle,
   kConsumers,
@@ -123,8 +124,8 @@ enum class SpanKind : std::uint8_t {
 /// RAII phase span: opens the trace span (with `args`) and starts the
 /// profiler clock on construction. end() closes the trace span with end
 /// arguments; the destructor closes it if end() was not called and adds
-/// the elapsed wall time to the profiler phase. Null sinks make each step
-/// a pointer test.
+/// the elapsed wall time to the profiler phase, so a span's scope must end
+/// with its phase. Null sinks make each step a pointer test.
 class Span {
  public:
   Span(const ObsContext& ctx, SpanKind kind, double t_s, std::initializer_list<TraceArg> args = {});

@@ -9,6 +9,8 @@ const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kControllerCycle:
       return "controller/cycle";
+    case Phase::kPolicyConsumers:
+      return "policy/consumers";
     case Phase::kPolicyEqualize:
       return "policy/equalize";
     case Phase::kPolicyBuildProblem:
@@ -17,6 +19,14 @@ const char* phase_name(Phase p) {
       return "policy/solve";
     case Phase::kExecutorApply:
       return "executor/apply";
+    case Phase::kExecutorRelease:
+      return "executor/release";
+    case Phase::kExecutorResize:
+      return "executor/resize";
+    case Phase::kExecutorMigrate:
+      return "executor/migrate";
+    case Phase::kExecutorStart:
+      return "executor/start";
     case Phase::kMigrationTick:
       return "migration/tick";
     case Phase::kPowerTick:

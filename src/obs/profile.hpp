@@ -24,10 +24,15 @@ namespace heteroplace::obs {
 
 enum class Phase : int {
   kControllerCycle = 0,  // whole control cycle (includes the phases below)
+  kPolicyConsumers,      // phase 1: utility consumers for jobs and apps
   kPolicyEqualize,       // phase 2: utility equalization
   kPolicyBuildProblem,   // phase 3: placement-problem construction
   kPolicySolve,          // phase 4: placement solver
-  kExecutorApply,        // action-plan application
+  kExecutorApply,        // action-plan application (includes its passes)
+  kExecutorRelease,      // pass 1: suspends and instance stops
+  kExecutorResize,       // pass 2: CPU-share shrinks, then grows
+  kExecutorMigrate,      // pass 3: migration fixpoint
+  kExecutorStart,        // pass 4: starts and resumes
   kMigrationTick,        // migration-manager tick
   kPowerTick,            // power-manager tick
   kFaultEvent,           // fault injection / recovery events

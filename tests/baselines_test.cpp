@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/utility_policy.hpp"
 #include "core/world.hpp"
 
 using namespace heteroplace;
@@ -32,9 +33,9 @@ JobSpec make_spec(unsigned id, double submit) {
   return s;
 }
 
-void add_web_app(World& world, double lambda) {
+void add_web_app(World& world, double lambda, unsigned id = 0) {
   workload::TxAppSpec spec;
-  spec.id = util::AppId{0};
+  spec.id = util::AppId{id};
   spec.name = "web";
   spec.rt_goal = Seconds{1.2};
   spec.service_demand = 5000.0;
@@ -176,4 +177,39 @@ TEST(ProportionalShare, UtilityBlindnessShowsInDiagnostics) {
   const auto out = policy.decide(world, 0_s);
   EXPECT_TRUE(std::isnan(out.diag.u_star));  // no equalization happened
   EXPECT_EQ(out.diag.active_jobs, 1);
+}
+
+// --- Plan order ----------------------------------------------------------------------
+
+TEST(PlanOrder, EveryPolicyReturnsContractOrder) {
+  // Two apps on a shared cluster, job ids submitted in descending order:
+  // node-major instance emission and submit-time job order would both
+  // break the (app, node) / job-id contract the executor relies on.
+  World world;
+  world.cluster().add_nodes(8, Resources{12000_mhz, 4096_mb});
+  add_web_app(world, 10.0, 0);
+  add_web_app(world, 6.0, 1);
+  for (unsigned i = 0; i < 20; ++i) world.submit_job(make_spec(19 - i, i * 10.0));
+
+  auto job_model = std::make_shared<utility::JobUtilityModel>();
+  auto tx_model = std::make_shared<utility::TxUtilityModel>();
+  std::vector<std::pair<const char*, std::unique_ptr<core::PlacementPolicy>>> policies;
+  policies.emplace_back("utility-driven",
+                        std::make_unique<core::UtilityDrivenPolicy>(job_model, tx_model));
+  for (ShareMode mode : {ShareMode::kEqualPerWorkload, ShareMode::kDemandProportional}) {
+    ProportionalShareConfig cfg;
+    cfg.mode = mode;
+    policies.emplace_back("proportional-share",
+                          std::make_unique<ProportionalSharePolicy>(job_model, tx_model, cfg));
+  }
+  policies.emplace_back("static-partition",
+                        std::make_unique<StaticPartitionPolicy>(StaticPartitionConfig{0.5}));
+
+  for (const auto& [name, policy] : policies) {
+    const auto out = policy->decide(world, 100_s);
+    EXPECT_TRUE(out.plan.in_order()) << name;
+    EXPECT_FALSE(out.plan.jobs.empty()) << name;
+    EXPECT_GT(out.plan.app_cpu(util::AppId{0}).get(), 0.0) << name;
+    EXPECT_GT(out.plan.app_cpu(util::AppId{1}).get(), 0.0) << name;
+  }
 }
