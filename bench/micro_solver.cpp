@@ -13,6 +13,7 @@
 
 #include "core/equalizer.hpp"
 #include "core/placement_solver.hpp"
+#include "legacy/legacy_equalizer.hpp"
 #include "solver_shapes.hpp"
 #include "util/rng.hpp"
 #include "utility/job_utility.hpp"
@@ -94,11 +95,9 @@ void BM_EqualizeJobsVirtualPath(benchmark::State& state) {
   for (const auto& c : jc) consumers.push_back(&c);
   consumers.push_back(&tc);
 
-  core::EqualizerOptions opts;
-  opts.use_curve_cache = false;
   const util::CpuMhz capacity{300000.0};
   for (auto _ : state) {
-    auto result = core::equalize(consumers, capacity, opts);
+    auto result = bench::legacy::equalize_virtual(consumers, capacity);
     benchmark::DoNotOptimize(result.u_star);
   }
   state.SetComplexityN(n);

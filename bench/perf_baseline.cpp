@@ -1,12 +1,12 @@
 // Perf-regression baseline for the control-cycle hot paths.
 //
 // Measures each optimized hot path against the seed implementation it
-// replaced — the shared_ptr event queue and the seed placement solver
-// are preserved verbatim under bench/legacy/, and the seed equalizer
-// loop survives behind EqualizerOptions::use_curve_cache=false — and
-// emits machine-readable BENCH_eventqueue.json / BENCH_equalizer.json /
-// BENCH_solver.json. The committed copies at the repo root are the perf
-// trajectory: future PRs rerun this tool and compare.
+// replaced — the shared_ptr event queue, the seed placement solver and
+// the seed (virtual-dispatch) equalizer loop are preserved under
+// bench/legacy/ — and emits machine-readable BENCH_eventqueue.json /
+// BENCH_equalizer.json / BENCH_solver.json. The committed copies at the
+// repo root are the perf trajectory: future PRs rerun this tool and
+// compare.
 //
 //   perf_baseline [--out=DIR] [--quick]
 //
@@ -34,6 +34,7 @@
 
 #include "core/equalizer.hpp"
 #include "core/placement_solver.hpp"
+#include "legacy/legacy_equalizer.hpp"
 #include "legacy/legacy_event_queue.hpp"
 #include "legacy/legacy_placement_solver.hpp"
 #include "sim/event_queue.hpp"
@@ -220,16 +221,12 @@ std::vector<Case> bench_equalizer(bool quick) {
     // ~30% of total demand: firmly in the contended regime.
     const util::CpuMhz capacity{n_jobs * 550.0};
 
-    core::EqualizerOptions slow;
-    slow.use_curve_cache = false;
-    core::EqualizerOptions fast;
-    fast.use_curve_cache = true;
     const auto seed_ns = time_best_ns(reps, [&] {
-      const auto r = core::equalize(consumers, capacity, slow);
+      const auto r = bench::legacy::equalize_virtual(consumers, capacity);
       g_sink = g_sink + r.iterations;
     });
     const auto opt_ns = time_best_ns(reps, [&] {
-      const auto r = core::equalize(consumers, capacity, fast);
+      const auto r = core::equalize(consumers, capacity);
       g_sink = g_sink + r.iterations;
     });
     cases.push_back({"equalize_" + std::to_string(n_jobs) + "j_4a",

@@ -92,7 +92,8 @@ class UtilityConsumer {
   /// identical either way — the params are a performance contract, not a
   /// policy — though the equalizer's totals may differ in the last ulp
   /// because the cache sums by consumer kind rather than input order
-  /// (u* agrees within the bisection tolerance; see EqualizerOptions).
+  /// (u* agrees within the bisection tolerance with the virtual-dispatch
+  /// reference, bench/legacy/legacy_equalizer.hpp).
   [[nodiscard]] virtual CurveParams curve_params() const { return {}; }
 };
 

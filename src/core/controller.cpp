@@ -19,7 +19,6 @@ void PlacementController::start() {
     throw std::invalid_argument("PlacementController: first_cycle_at must be nonnegative");
   }
   const util::Seconds first = std::max(config_.first_cycle_at, engine_.now());
-  next_cycle_at_ = first;
   engine_.schedule_at(first, sim::EventPriority::kController, config_.shard, [this] {
     run_cycle();
     schedule_next();
@@ -27,7 +26,6 @@ void PlacementController::start() {
 }
 
 void PlacementController::schedule_next() {
-  next_cycle_at_ = engine_.now() + config_.cycle;
   engine_.schedule_in(config_.cycle, sim::EventPriority::kController, config_.shard, [this] {
     run_cycle();
     schedule_next();

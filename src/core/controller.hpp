@@ -88,12 +88,6 @@ class PlacementController {
   [[nodiscard]] PlacementPolicy& policy() { return *policy_; }
   [[nodiscard]] long cycles_run() const { return cycles_; }
 
-  /// Time of the next scheduled periodic evaluation (the first one until
-  /// start() fires, then always now + cycle of the latest run; resync
-  /// cycles do not move it). The migration manager aligns deferred
-  /// destination attaches to this instant.
-  [[nodiscard]] util::Seconds next_cycle_at() const { return next_cycle_at_; }
-
   // --- fault tolerance -------------------------------------------------------
 
   /// Domain blackout support: while offline the periodic loop keeps its
@@ -117,7 +111,6 @@ class PlacementController {
   obs::ObsContext obs_;
   long cycles_{0};
   long missed_cycles_{0};
-  util::Seconds next_cycle_at_{0.0};
   bool online_{true};
 };
 

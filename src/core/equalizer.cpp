@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,22 +13,12 @@ namespace heteroplace::core {
 
 namespace {
 
-/// Σ alloc_for_utility(u) over all consumers via the virtual interface —
-/// the seed implementation, kept behind EqualizerOptions::use_curve_cache
-/// so the curve-cache path can be benchmarked and regression-tested
-/// against it. OpenMP-parallel for large consumer populations (each term
-/// may itself run a bisection).
-double total_alloc_at(const std::vector<const UtilityConsumer*>& consumers, double u) {
-  const auto n = static_cast<std::ptrdiff_t>(consumers.size());
-  double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static) if (n > 256)
-#endif
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    total += consumers[static_cast<std::size_t>(i)]->alloc_for_utility(u).get();
-  }
-  return total;
-}
+/// Lower bound of the utility search window; below any utility a
+/// consumer can have under starvation.
+constexpr double kUFloor = -1.0e4;
+/// Bisection tolerance on u*.
+constexpr double kUTolerance = 1.0e-5;
+constexpr int kMaxIterations = 120;
 
 /// Inline mirror of TxUtilityModel::utility (raw_utility ∘ evaluate_tx,
 /// divided by importance). Operation order matches the model code so the
@@ -196,13 +185,13 @@ class CurveCache {
 }  // namespace
 
 EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
-                        util::CpuMhz capacity, const EqualizerOptions& opts) {
+                        util::CpuMhz capacity) {
   EqualizeResult result;
   result.allocations.resize(consumers.size());
   if (consumers.empty()) return result;
 
   double total_demand = 0.0;
-  double u_hi = opts.u_floor;
+  double u_hi = kUFloor;
   double u_min_max = 1e300;
   for (const auto* c : consumers) {
     total_demand += c->demand_max().get();
@@ -227,24 +216,20 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
 
   result.contended = true;
 
-  std::optional<CurveCache> cache;
-  if (opts.use_curve_cache) cache.emplace(consumers);
-  const auto total_at = [&](double u) {
-    return cache ? cache->total_alloc_at(u) : total_alloc_at(consumers, u);
-  };
+  const CurveCache cache(consumers);
 
   // Widen the floor if even the floor's allocations exceed capacity
   // (can happen with extreme importance weights).
-  double u_lo = opts.u_floor;
-  for (int widen = 0; widen < 16 && total_at(u_lo) > capacity.get(); ++widen) {
+  double u_lo = kUFloor;
+  for (int widen = 0; widen < 16 && cache.total_alloc_at(u_lo) > capacity.get(); ++widen) {
     u_lo *= 2.0;
   }
 
   int iters = 0;
   // Bisect g(u) = total_alloc(u) − capacity, monotone non-decreasing.
-  while (u_hi - u_lo > opts.u_tolerance && iters < opts.max_iterations) {
+  while (u_hi - u_lo > kUTolerance && iters < kMaxIterations) {
     const double mid = 0.5 * (u_lo + u_hi);
-    if (total_at(mid) <= capacity.get()) {
+    if (cache.total_alloc_at(mid) <= capacity.get()) {
       u_lo = mid;
     } else {
       u_hi = mid;
@@ -257,8 +242,7 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
 
   double total = 0.0;
   for (std::size_t i = 0; i < consumers.size(); ++i) {
-    const util::CpuMhz a = cache ? util::CpuMhz{cache->alloc_at(i, result.u_star)}
-                                 : consumers[i]->alloc_for_utility(result.u_star);
+    const util::CpuMhz a{cache.alloc_at(i, result.u_star)};
     result.allocations[i] = {a, consumers[i]->utility_at(a)};
     total += a.get();
   }

@@ -22,21 +22,6 @@
 
 namespace heteroplace::core {
 
-struct EqualizerOptions {
-  /// Lower bound of the utility search window. Must be below any utility
-  /// a consumer can have under starvation.
-  double u_floor{-1.0e4};
-  /// Bisection tolerance on u*.
-  double u_tolerance{1.0e-5};
-  int max_iterations{120};
-  /// Evaluate Σ alloc_for_utility(u) from flattened curve parameters
-  /// (see CurveParams) instead of per-consumer virtual dispatch. Results
-  /// agree to within the bisection tolerance; the flag exists so
-  /// bench/perf_baseline can measure the seed path and tests can assert
-  /// the equivalence.
-  bool use_curve_cache{true};
-};
-
 struct ConsumerAllocation {
   util::CpuMhz alloc{0.0};  // equalized CPU target
   double utility{0.0};      // hypothetical utility at that target
@@ -62,6 +47,6 @@ struct EqualizeResult {
 /// Consumers may be in any order; the result is order-independent up to
 /// the bisection tolerance.
 [[nodiscard]] EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
-                                      util::CpuMhz capacity, const EqualizerOptions& opts = {});
+                                      util::CpuMhz capacity);
 
 }  // namespace heteroplace::core

@@ -209,7 +209,6 @@ void Federation::fill_status(util::Seconds now, std::vector<DomainStatus>& out) 
     s.effective = d->effective_cpu();
     s.offered_load = d->offered_cpu_load(now);
     s.active_jobs = d->active_job_count();
-    s.outbound_transfers_queued = transfer_queue_probe_ ? transfer_queue_probe_(d->index()) : 0;
     // Per-class headroom for constraint-aware routing; scalar domains
     // leave both vectors empty and routers fall back to `effective`.
     s.classes.clear();

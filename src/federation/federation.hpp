@@ -109,15 +109,6 @@ class Federation {
   /// routed job is admitted to the SLA ledger of its domain's context.
   void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
-  /// Probe for per-domain outbound migration-transfer queue depth,
-  /// registered by the migration manager (its LinkScheduler owns the
-  /// link pools). When set, status() fills
-  /// DomainStatus::outbound_transfers_queued from it.
-  using TransferQueueProbe = std::function<std::size_t(std::size_t domain)>;
-  void set_transfer_queue_probe(TransferQueueProbe probe) {
-    transfer_queue_probe_ = std::move(probe);
-  }
-
   /// Observer of domain weight changes (old weight, new weight), invoked
   /// after the weight is applied and demand re-split. The migration
   /// manager uses it to cancel queued evacuation transfers when a
@@ -165,7 +156,6 @@ class Federation {
   std::map<util::JobId, std::size_t> job_domain_;  // global job registry
   CycleObserver observer_;
   obs::ObsContext obs_;
-  TransferQueueProbe transfer_queue_probe_;
   std::vector<DomainStatus> route_status_;  // reused by every submit_job
   WeightObserver weight_observer_;
   bool started_{false};

@@ -36,9 +36,6 @@ struct DomainStatus {
   util::CpuMhz effective{0.0};
   util::CpuMhz offered_load{0.0};  // active-job speed caps + tx offered CPU
   std::size_t active_jobs{0};
-  /// Outbound migration transfers queued behind this domain's contended
-  /// links (0 when migration is off; see Federation::set_transfer_queue_probe).
-  std::size_t outbound_transfers_queued{0};
   /// Machine-class table and per-class weight-scaled placeable CPU
   /// (parallel vectors indexed by ClassId). Both empty when the domain's
   /// cluster has no explicit classes — the scalar case pays nothing and

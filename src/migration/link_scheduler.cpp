@@ -37,10 +37,8 @@ LinkScheduler::Grant LinkScheduler::submit(std::size_t from, std::size_t to,
   const double bandwidth = mode_ == LinkMode::kUplink
                                ? model_.uplink_bandwidth_mb_per_s(from)
                                : model_.bandwidth_mb_per_s(from, to);
-  // degrade == 1.0 stays on the undivided path so fault-free runs remain
-  // bit-identical to the pre-fault code.
-  const double effective_bw = pool.degrade == 1.0 ? bandwidth : bandwidth * pool.degrade;
-  const double wire = image_size.get() / effective_bw;
+  // A healthy pool has degrade == 1.0, and x * 1.0 == x exactly.
+  const double wire = image_size.get() / (bandwidth * pool.degrade);
   const double latency = model_.latency_s(from, to);
 
   const double now = engine_.now().get();
@@ -48,7 +46,7 @@ LinkScheduler::Grant LinkScheduler::submit(std::size_t from, std::size_t to,
   Grant grant;
   grant.id = next_transfer_++;
   grant.transfer_s = latency + wire;
-  Waiting entry{key, grant.id, from, wire, latency, now, std::move(on_delivered)};
+  Waiting entry{key, grant.id, wire, latency, now, std::move(on_delivered)};
 
   if (!pool.busy) {
     // Idle pool ⇒ empty queue (the wire-done handler starts the next
@@ -72,7 +70,6 @@ LinkScheduler::Grant LinkScheduler::submit(std::size_t from, std::size_t to,
     pool.waiting.push_back(grant.id);
     waiting_.emplace(grant.id, std::move(entry));
     ++queued_;
-    ++queued_by_source_[from];
   }
   return grant;
 }
@@ -106,7 +103,6 @@ void LinkScheduler::on_wire_done(PoolKey key) {
   auto node = waiting_.extract(id);
   Waiting entry = std::move(node.mapped());
   --queued_;
-  --queued_by_source_[entry.from];
   // The wait is credited when it has actually been served (the wire
   // starts), so samples mid-run never report time that has not elapsed
   // yet and a transfer still queued at the horizon counts nothing.
@@ -123,14 +119,8 @@ bool LinkScheduler::cancel_queued(TransferId id) {
   auto pos = std::find(pool.waiting.begin(), pool.waiting.end(), id);
   pool.waiting.erase(pos);
   --queued_;
-  --queued_by_source_[entry.from];
   waiting_.erase(it);
   return true;
-}
-
-std::size_t LinkScheduler::queued_from(std::size_t domain) const {
-  auto it = queued_by_source_.find(domain);
-  return it != queued_by_source_.end() ? it->second : 0;
 }
 
 std::vector<LinkScheduler::TransferId> LinkScheduler::fail_link(std::size_t from, std::size_t to,
@@ -159,10 +149,8 @@ std::vector<LinkScheduler::TransferId> LinkScheduler::fail_link(std::size_t from
   while (!pool.waiting.empty()) {
     const TransferId id = pool.waiting.front();
     pool.waiting.pop_front();
-    auto it = waiting_.find(id);
     --queued_;
-    --queued_by_source_[it->second.from];
-    waiting_.erase(it);
+    waiting_.erase(id);
     killed.push_back(id);
   }
   return killed;

@@ -124,8 +124,6 @@ class LinkScheduler {
 
   /// Transfers waiting for a pool (submitted, wire not started).
   [[nodiscard]] std::size_t queued_transfers() const { return queued_; }
-  /// Waiting transfers whose source is `domain` (federation status plumbing).
-  [[nodiscard]] std::size_t queued_from(std::size_t domain) const;
   /// Transfers currently occupying a wire.
   [[nodiscard]] std::size_t active_transfers() const { return active_; }
   /// Cumulative seconds of queue wait actually served so far: each
@@ -153,7 +151,6 @@ class LinkScheduler {
   struct Waiting {
     PoolKey key;
     TransferId id{0};
-    std::size_t from{0};
     double wire_s{0.0};
     double latency_s{0.0};
     double submitted_at{0.0};
@@ -175,7 +172,6 @@ class LinkScheduler {
   TransferId next_transfer_{1};
   std::size_t queued_{0};
   std::size_t active_{0};
-  std::map<std::size_t, std::size_t> queued_by_source_;
   double total_queue_wait_s_{0.0};
 };
 

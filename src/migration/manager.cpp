@@ -38,10 +38,6 @@ MigrationManager::MigrationManager(federation::Federation& fed, TransferModel mo
   if (options_.retry_backoff_max_s < options_.retry_backoff_s) {
     throw std::invalid_argument("MigrationManager: retry_backoff_max_s must be >= retry_backoff_s");
   }
-  // Surface per-domain outbound transfer queues in Federation::status so
-  // routers/policies (and the fed_* samplers) can observe congestion.
-  fed_.set_transfer_queue_probe(
-      [this](std::size_t domain) { return scheduler_.queued_from(domain); });
   // A drained domain that recovers keeps its not-yet-shipped jobs: every
   // queued outbound grant is cancelled and those jobs stay put.
   fed_.set_weight_observer([this](std::size_t domain, double old_w, double new_w) {
@@ -50,7 +46,6 @@ MigrationManager::MigrationManager(federation::Federation& fed, TransferModel mo
 }
 
 MigrationManager::~MigrationManager() {
-  fed_.set_transfer_queue_probe(nullptr);
   fed_.set_weight_observer(nullptr);
 }
 
@@ -339,21 +334,6 @@ void MigrationManager::clear_link_fault(std::size_t from, std::size_t to) {
 void MigrationManager::complete_transfer(util::JobId id) {
   auto it = flights_.find(id);
   if (it == flights_.end()) return;
-  if (options_.align_attach) {
-    // Park the arrived image until just before the destination
-    // controller's next cycle: the attach fires at kWorkloadArrival,
-    // ahead of kController at that timestamp, so the cycle plans the job
-    // immediately instead of it sitting suspended until the cycle after.
-    // On re-entry at that instant next_cycle_at() == now and we fall
-    // through to the attach below. Cross-domain event: unsharded.
-    const util::Seconds cycle_at =
-        fed_.domain(it->second.to).controller().next_cycle_at();
-    if (cycle_at.get() > fed_.engine().now().get()) {
-      fed_.engine().schedule_at(cycle_at, sim::EventPriority::kWorkloadArrival,
-                                [this, id] { complete_transfer(id); });
-      return;
-    }
-  }
   const Flight flight = it->second;
   flights_.erase(it);
   transfer_jobs_.erase(flight.transfer_id);

@@ -51,12 +51,6 @@ struct MigrationOptions {
   /// kCost selection rule. Off by default: FIFO order is part of the
   /// pinned pre-fault behavior.
   bool rescore_queued_transfers{false};
-  /// Defer each destination attach to just before the destination
-  /// controller's next periodic cycle (kWorkloadArrival beats
-  /// kController at the shared timestamp), so that very cycle plans the
-  /// arriving job instead of it waiting suspended for most of a cycle.
-  /// Off by default: immediate attach is part of the pinned behavior.
-  bool align_attach{false};
 };
 
 /// Cumulative counters, sampled into the mig_* metric series.

@@ -153,12 +153,6 @@ std::vector<MigrationRequest> RebalancePolicy::propose(
     double src_load = config_.high_watermark;
     for (const auto& d : status) {
       if (d.weight <= 0.0 || d.effective.get() <= 0.0) continue;  // drain policy's business
-      // Congestion guard: a backed-up uplink means moves out of this
-      // domain would only queue behind the images already waiting.
-      if (config_.max_queued_transfers > 0 &&
-          d.outbound_transfers_queued >= config_.max_queued_transfers) {
-        continue;
-      }
       const double load = rel_load(d.index);
       if (load > src_load) {
         src_load = load;

@@ -53,13 +53,6 @@ struct PolicyConfig {
   double low_watermark{0.8};
   /// Movable-job ordering within a source domain.
   SelectionMode selection{SelectionMode::kFifo};
-  /// Congestion guard for rebalancing: a source whose outbound transfer
-  /// queue (DomainStatus::outbound_transfers_queued) has reached this
-  /// depth proposes no further moves — piling more images behind a
-  /// backed-up uplink only delays everything already queued. 0 disables
-  /// the guard (the pre-congestion-aware behavior). Drains ignore it:
-  /// evacuating a dead domain beats link tidiness.
-  std::size_t max_queued_transfers{0};
 };
 
 class MigrationPolicy {

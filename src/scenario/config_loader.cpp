@@ -205,12 +205,10 @@ void walk(V& v, S& s) {
   v("migration.low_watermark", m.low_watermark);
   v("migration.link_mode", m.link_mode);
   v("migration.selection", m.selection);
-  v("migration.max_queued_transfers", m.max_queued_transfers);
   v("migration.max_transfer_retries", m.max_transfer_retries);
   v("migration.retry_backoff_s", m.retry_backoff_s);
   v("migration.retry_backoff_max_s", m.retry_backoff_max_s);
   v("migration.rescore_queued_transfers", m.rescore_queued_transfers);
-  v("migration.align_attach", m.align_attach);
   v("migration.default_bandwidth_mb_per_s", m.default_bandwidth_mb_per_s);
   v("migration.default_latency_s", m.default_latency_s);
   // Sparse families: -1 = keep the model default (see LinkSpec). The
@@ -449,6 +447,25 @@ Scenario scenario_from_config(const util::Config& cfg) {
     if (r.has(key)) throw util::ConfigError(key + " " + why);
   }
   if (s.engine_threads < 1) throw util::ConfigError("engine.threads: must be >= 1");
+  // Values no run can use: each would hang the sampler, fail mid-run or
+  // run silently wrong.
+  const auto& lat = s.controller.latencies;
+  const std::pair<const char*, bool> bad[] = {
+      {"horizon_s: must be nonnegative (0 = run to completion)", s.horizon_s < 0.0},
+      {"sample_interval_s: must be positive", !(s.sample_interval_s > 0.0)},
+      {"cycle_s: must be positive", !(s.controller.cycle_s > 0.0)},
+      {"latency.start_job: must be nonnegative", lat.start_job.get() < 0.0},
+      {"latency.suspend: must be nonnegative", lat.suspend_job.get() < 0.0},
+      {"latency.resume: must be nonnegative", lat.resume_job.get() < 0.0},
+      {"latency.migrate: must be nonnegative", lat.migrate_job.get() < 0.0},
+      {"latency.start_instance: must be nonnegative", lat.start_instance.get() < 0.0},
+      {"jobs.count: must be nonnegative", s.jobs.count < 0},
+      {"jobs.tail_count: must be nonnegative", s.jobs.tail_count < 0},
+  };
+  for (const auto& [what, is_bad] : bad) {
+    if (is_bad) throw util::ConfigError(what);
+  }
+  validate_names(s);
   validate_class_pools(s.cluster);
   validate_power_spec(s.power);
   validate_obs_spec(s.obs);

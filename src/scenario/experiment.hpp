@@ -26,8 +26,6 @@ enum class PolicyKind {
 
 struct ExperimentOptions {
   PolicyKind policy{PolicyKind::kUtilityDriven};
-  /// TX node fraction for the static-partition baseline.
-  double static_tx_fraction{0.4};
   /// Run cluster invariant validation after every control cycle and
   /// count violations in the summary (tests assert zero).
   bool validate_invariants{false};
@@ -40,8 +38,6 @@ struct ExperimentOptions {
   /// smoothed by an EWMA estimator (0 = perfect observation). Only
   /// affects the utility-driven policy.
   double lambda_noise_cv{0.0};
-  /// Half-life of the rate-estimator EWMA (see perfmodel::RateEstimator).
-  double lambda_estimator_half_life_s{1200.0};
 };
 
 struct ExperimentResult {

@@ -1,6 +1,7 @@
 #include "scenario/federation_experiment.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -60,8 +61,6 @@ void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains) {
              [&] { return migration::selection_from_string(spec.selection); });
   require(spec.check_interval_s > 0.0, "migration.check_interval_s", "must be positive");
   require(spec.max_moves_per_tick >= 1, "migration.max_moves_per_tick", "must be >= 1");
-  require(spec.max_queued_transfers >= 0, "migration.max_queued_transfers",
-          "must be nonnegative (0 = no guard)");
   require(spec.max_transfer_retries >= 0, "migration.max_transfer_retries",
           "must be nonnegative (0 = fail back on the first link fault)");
   require(spec.retry_backoff_s > 0.0, "migration.retry_backoff_s", "must be positive");
@@ -102,6 +101,24 @@ void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains) {
   }
 }
 
+void validate_names(const Scenario& s) {
+  const auto unique = [](const std::string& family, std::size_t n, auto name_of) {
+    std::map<std::string, std::size_t> first;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [it, fresh] = first.emplace(name_of(i), i);
+      require(fresh, family + "." + std::to_string(i) + ".name",
+              "'" + it->first + "' is already the name of " + family + "." +
+                  std::to_string(it->second));
+    }
+  };
+  unique("domain", s.domains.size(), [&](std::size_t i) { return s.domains[i].name; });
+  unique("app", s.apps.size(), [&](std::size_t i) { return s.apps[i].spec.name; });
+  for (std::size_t i = 0; i < s.apps.size(); ++i) {
+    require(s.apps[i].spec.name != "jobs", "app." + std::to_string(i) + ".name",
+            "'jobs' names the batch job stream");
+  }
+}
+
 Scenario federate(const Scenario& single, int n_domains, const std::string& router) {
   if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
   Scenario fs = single;
@@ -118,6 +135,12 @@ Scenario federate(const Scenario& single, int n_domains, const std::string& rout
 }
 
 FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOptions& options) {
+  // A zero interval would reschedule the sampler at the same instant
+  // forever.
+  if (!(fs.sample_interval_s > 0.0)) {
+    throw std::invalid_argument("run_federated_experiment: sample_interval_s must be positive");
+  }
+  validate_names(fs);
   // An empty `domains` is one domain, dc0, holding the whole cluster.
   const std::vector<DomainSpec> whole_cluster{domain_share(fs.cluster, 0, 1)};
   const std::vector<DomainSpec>& domains = fs.domains.empty() ? whole_cluster : fs.domains;
@@ -246,8 +269,6 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     pol_cfg.high_watermark = fs.migration.high_watermark;
     pol_cfg.low_watermark = fs.migration.low_watermark;
     pol_cfg.selection = migration::selection_from_string(fs.migration.selection);
-    pol_cfg.max_queued_transfers =
-        static_cast<std::size_t>(fs.migration.max_queued_transfers);
     migration::MigrationOptions mig_opts;
     mig_opts.check_interval = util::Seconds{fs.migration.check_interval_s};
     mig_opts.max_moves_per_tick = fs.migration.max_moves_per_tick;
@@ -256,7 +277,6 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     mig_opts.retry_backoff_s = fs.migration.retry_backoff_s;
     mig_opts.retry_backoff_max_s = fs.migration.retry_backoff_max_s;
     mig_opts.rescore_queued_transfers = fs.migration.rescore_queued_transfers;
-    mig_opts.align_attach = fs.migration.align_attach;
     migration_mgr.emplace(fed, std::move(transfer),
                           migration::make_migration_policy(fs.migration.policy, pol_cfg),
                           mig_opts);

@@ -34,6 +34,13 @@ using FederatedScenario = Scenario;
 /// early for a clean usage-style failure instead of an exception mid-run.
 void validate_migration_spec(const MigrationSpec& spec, std::size_t n_domains);
 
+/// Throw util::ConfigError naming the second key of a repeated
+/// `domain.<i>.name` or `app.<i>.name`, or of an app named `jobs` (the
+/// batch stream's SLO name). Per-domain and per-app series are keyed by
+/// name, so a repeat would silently merge two series into one. The
+/// config loader and the runner both call this.
+void validate_names(const Scenario& s);
+
 /// A copy of `single` with `domains` filled by the even split into
 /// `n_domains` (see domain_share), the router set and, for more than one
 /// domain, "-federated" appended to the name. n_domains = 1 yields the

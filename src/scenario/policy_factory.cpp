@@ -24,16 +24,14 @@ std::unique_ptr<core::PlacementPolicy> make_experiment_policy(
         auto estimators = std::make_shared<std::map<util::AppId, perfmodel::RateEstimator>>();
         auto noise_rng = std::make_shared<util::Rng>(noise_seed);
         const double cv = options.lambda_noise_cv;
-        const double half_life = options.lambda_estimator_half_life_s;
         // LogNormal with mean 1 and the requested coefficient of variation.
         const double sigma2 = std::log(1.0 + cv * cv);
         const double mu = -0.5 * sigma2;
         const double sigma = std::sqrt(sigma2);
         up->set_lambda_provider(
-            [estimators, noise_rng, mu, sigma, half_life](const workload::TxApp& app,
-                                                          util::Seconds now) {
-              auto [it, inserted] =
-                  estimators->try_emplace(app.id(), perfmodel::RateEstimator{half_life});
+            [estimators, noise_rng, mu, sigma](const workload::TxApp& app, util::Seconds now) {
+              // Default estimator: 1200 s EWMA half-life.
+              auto [it, inserted] = estimators->try_emplace(app.id(), perfmodel::RateEstimator{});
               const double observed = app.arrival_rate(now) * noise_rng->lognormal(mu, sigma);
               it->second.observe(now, observed);
               return it->second.estimate();
@@ -41,11 +39,10 @@ std::unique_ptr<core::PlacementPolicy> make_experiment_policy(
       }
       return up;
     }
-    case PolicyKind::kStaticPartition: {
-      baselines::StaticPartitionConfig cfg;
-      cfg.tx_node_fraction = options.static_tx_fraction;
-      return std::make_unique<baselines::StaticPartitionPolicy>(cfg);
-    }
+    case PolicyKind::kStaticPartition:
+      // Default partition: 40% of the nodes for transactional apps.
+      return std::make_unique<baselines::StaticPartitionPolicy>(
+          baselines::StaticPartitionConfig{});
     case PolicyKind::kProportionalEqual:
     case PolicyKind::kProportionalDemand: {
       baselines::ProportionalShareConfig cfg;

@@ -245,9 +245,6 @@ struct MigrationSpec {
   /// Movable-job ordering: "fifo" (list order, the pre-cost-aware
   /// behavior) or "cost" (image/remaining-work/SLA-slack ranking).
   std::string selection{"fifo"};
-  /// Rebalance congestion guard: skip sources with this many outbound
-  /// transfers already queued (0 = no guard; see PolicyConfig).
-  int max_queued_transfers{0};
   /// Link-fault resilience (see MigrationOptions): retry budget and the
   /// capped exponential backoff for transfers killed by a link fault.
   int max_transfer_retries{3};
@@ -256,11 +253,6 @@ struct MigrationSpec {
   /// Re-rank queued transfers cheapest-image-first when a link pool backs
   /// up. Off by default (FIFO order is part of the pinned behavior).
   bool rescore_queued_transfers{false};
-  /// Defer destination attaches to just before the destination
-  /// controller's next cycle so that cycle plans the job (see
-  /// MigrationOptions::align_attach). Off by default (immediate attach
-  /// is part of the pinned behavior).
-  bool align_attach{false};
   double default_bandwidth_mb_per_s{125.0};
   double default_latency_s{2.0};
   std::vector<LinkSpec> links;

@@ -32,14 +32,6 @@ double Rng::normal(double mean, double stddev) {
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-double Rng::bounded_pareto(double alpha, double lo, double hi) {
-  assert(alpha > 0.0 && lo > 0.0 && hi > lo);
-  const double u = uniform01();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 Rng Rng::split() {
   // A fresh seed drawn from this stream yields an independent child.
   return Rng{(*this)()};

@@ -71,9 +71,6 @@ class Rng {
   /// Lognormal: exp(normal(mu, sigma)).
   [[nodiscard]] double lognormal(double mu, double sigma);
 
-  /// Bounded Pareto on [lo, hi] with shape alpha > 0 (heavy-tailed job sizes).
-  [[nodiscard]] double bounded_pareto(double alpha, double lo, double hi);
-
   /// Bernoulli trial.
   [[nodiscard]] bool chance(double p) { return uniform01() < p; }
 

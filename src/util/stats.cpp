@@ -1,9 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace heteroplace::util {
 
@@ -47,52 +45,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double PercentileEstimator::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  idx = std::min(idx, counts_.size() - 1);  // guard FP edge at hi_
-  ++counts_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  if (underflow_ > 0) os << "(<" << lo_ << "): " << underflow_ << "\n";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << bin_lo(i) << ".." << bin_hi(i) << ": " << counts_[i] << "\n";
-  }
-  if (overflow_ > 0) os << "(>=" << hi_ << "): " << overflow_ << "\n";
-  return os.str();
-}
 
 }  // namespace heteroplace::util

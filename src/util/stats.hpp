@@ -1,10 +1,8 @@
 #pragma once
 
-// Online and batch statistics used by the metric recorder and benches.
+// Online statistics used by the metric recorder and benches.
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace heteroplace::util {
 
@@ -32,54 +30,6 @@ class RunningStats {
   double min_{0.0};
   double max_{0.0};
   double sum_{0.0};
-};
-
-/// Batch percentile estimator: stores samples, answers arbitrary quantiles.
-/// Fine at simulation scale (up to a few million samples).
-class PercentileEstimator {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  /// q in [0, 1]; linear interpolation between order statistics.
-  /// Returns 0 for an empty estimator.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_{false};
-};
-
-/// Fixed-width histogram over [lo, hi) with under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Render as "lo..hi: count" lines (debug / report output).
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_{0};
-  std::size_t overflow_{0};
-  std::size_t total_{0};
 };
 
 }  // namespace heteroplace::util

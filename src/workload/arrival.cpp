@@ -27,11 +27,6 @@ std::optional<util::Seconds> UniformArrivals::next(util::Rng& /*rng*/) {
   return t_;
 }
 
-std::optional<util::Seconds> TraceArrivals::next(util::Rng& /*rng*/) {
-  if (idx_ >= times_.size()) return std::nullopt;
-  return times_[idx_++];
-}
-
 std::vector<util::Seconds> materialize(ArrivalProcess& proc, util::Rng& rng,
                                        std::size_t max_events) {
   std::vector<util::Seconds> out;

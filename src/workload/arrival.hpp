@@ -74,17 +74,6 @@ class UniformArrivals final : public ArrivalProcess {
   long remaining_;
 };
 
-/// Pre-computed arrival times (trace playback).
-class TraceArrivals final : public ArrivalProcess {
- public:
-  explicit TraceArrivals(std::vector<util::Seconds> times) : times_(std::move(times)) {}
-  [[nodiscard]] std::optional<util::Seconds> next(util::Rng& rng) override;
-
- private:
-  std::vector<util::Seconds> times_;
-  std::size_t idx_{0};
-};
-
 /// Materialize a whole process into a sorted vector of times.
 [[nodiscard]] std::vector<util::Seconds> materialize(ArrivalProcess& proc, util::Rng& rng,
                                                      std::size_t max_events = 1'000'000);

@@ -68,13 +68,4 @@ DemandTrace DemandTrace::scaled(double factor) const {
   return out;
 }
 
-double DemandTrace::peak_rate() const {
-  if (!points_) return 0.0;
-  double peak = 0.0;
-  // max(r·s) == max(r)·s for s >= 0 — and the same breakpoint attains
-  // both, so the product is the identical double either way.
-  for (const auto& p : *points_) peak = std::max(peak, p.rate);
-  return peak * scale_;
-}
-
 }  // namespace heteroplace::workload

@@ -60,9 +60,6 @@ class DemandTrace {
   /// Times at which the rate changes (for scheduling re-evaluation).
   [[nodiscard]] std::vector<util::Seconds> change_times() const;
 
-  /// Peak rate over the whole trace.
-  [[nodiscard]] double peak_rate() const;
-
   /// View of this trace with every rate multiplied by `factor` (>= 0).
   /// The federation layer uses this to split one offered-load stream
   /// across controller domains; factor 1 reproduces the trace exactly.

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "scenario/experiment.hpp"
 #include "scenario/federation_experiment.hpp"
@@ -88,6 +92,58 @@ TEST(ConfigLoader, AppCountOutOfRangeRejected) {
   EXPECT_THROW(
       (void)scenario::scenario_from_config(util::Config::from_string("apps = 1000\n")),
       util::ConfigError);
+}
+
+namespace {
+
+/// The message a ConfigError from loading `text` carries ("" if none).
+std::string load_error(const std::string& text) {
+  try {
+    (void)scenario::scenario_from_config(util::Config::from_string(text));
+  } catch (const util::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ConfigLoader, RejectsValuesNoRunCanUse) {
+  // Each would hang the sampler (interval 0), fail mid-run with an error
+  // that names no key, or load and run without complaint.
+  const std::pair<const char*, const char*> cases[] = {
+      {"sample_interval_s = 0\n", "sample_interval_s:"},
+      {"sample_interval_s = -5\n", "sample_interval_s:"},
+      {"cycle_s = 0\n", "cycle_s:"},
+      {"cycle_s = -600\n", "cycle_s:"},
+      {"horizon_s = -10\n", "horizon_s:"},
+      {"latency.start_job = -1\n", "latency.start_job:"},
+      {"latency.suspend = -3\n", "latency.suspend:"},
+      {"latency.resume = -1\n", "latency.resume:"},
+      {"latency.migrate = -1\n", "latency.migrate:"},
+      {"latency.start_instance = -1\n", "latency.start_instance:"},
+      {"jobs.count = -5\n", "jobs.count:"},
+      {"jobs.tail_count = -1\n", "jobs.tail_count:"},
+  };
+  for (const auto& [text, key] : cases) {
+    EXPECT_EQ(load_error(text).rfind(key, 0), 0u) << text << " -> '" << load_error(text) << "'";
+  }
+  // The boundary values stay legal: 0 = run to completion / instant
+  // action / no jobs.
+  EXPECT_EQ(load_error("horizon_s = 0\nlatency.suspend = 0\njobs.count = 0\n"), "");
+}
+
+TEST(ConfigLoader, RejectsRepeatedNames) {
+  // Per-domain and per-app series are keyed by name, and slo.jobs.*
+  // already means the batch job stream. The error names the second key.
+  const std::pair<const char*, const char*> cases[] = {
+      {"domains = 3\ndomain.0.name = x\ndomain.2.name = x\n", "domain.2.name:"},
+      {"apps = 2\napp.0.name = w\napp.1.name = w\n", "app.1.name:"},
+      {"apps = 2\napp.1.name = jobs\n", "app.1.name:"},
+  };
+  for (const auto& [text, key] : cases) {
+    EXPECT_EQ(load_error(text).rfind(key, 0), 0u) << text << " -> '" << load_error(text) << "'";
+  }
 }
 
 namespace {
@@ -266,6 +322,40 @@ TEST(ConfigKeys, EveryKeyIsDocumentedInTheReadme) {
   for (const std::string& key : keys) {
     EXPECT_NE(readme.find("`" + key + "`"), std::string::npos) << key << " has no README row";
   }
+
+  // And the other way: every backticked entry in the first cell of a
+  // `| key |` table is a key, or a `prefix.*` glob matching at least one,
+  // so a deleted key's row cannot linger.
+  const std::set<std::string> known(keys.begin(), keys.end());
+  const auto documents_a_key = [&](const std::string& entry) {
+    if (known.count(entry) > 0) return true;
+    if (!entry.ends_with(".*")) return false;
+    const std::string prefix = entry.substr(0, entry.size() - 1);
+    return std::any_of(keys.begin(), keys.end(),
+                       [&](const std::string& k) { return k.starts_with(prefix); });
+  };
+  std::istringstream lines(readme);
+  bool in_table = false;
+  int rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("| key |")) {
+      in_table = true;
+      continue;
+    }
+    if (!line.starts_with("|")) in_table = false;
+    if (!in_table) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t open = cell.find('`'); open != std::string::npos;
+         open = cell.find('`', open)) {
+      const std::size_t close = cell.find('`', open + 1);
+      ASSERT_NE(close, std::string::npos) << line;
+      const std::string entry = cell.substr(open + 1, close - open - 1);
+      EXPECT_TRUE(documents_a_key(entry)) << "README row `" << entry << "` is not a config key";
+      ++rows;
+      open = close + 1;
+    }
+  }
+  EXPECT_GT(rows, 100);  // the tables were found
 }
 
 TEST(ConfigLoader, LoadedScenarioActuallyRuns) {

@@ -195,12 +195,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EqualizerFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 42u));
 
 // ---- Curve-cache vs. virtual-dispatch equivalence ---------------------------
-// The flat-array hot loop (EqualizerOptions::use_curve_cache, the
-// default) mirrors JobUtilityModel::speed_for_utility and
+// The flat-array hot loop in core::equalize mirrors JobUtilityModel::speed_for_utility and
 // TxUtilityModel::alloc_for_utility operation for operation, so with
 // jobs preceding apps in the consumer vector the two paths sum in the
-// same order and must agree exactly.
+// same order and must agree exactly with the virtual-dispatch seed loop
+// kept under bench/legacy/.
 
+#include "legacy/legacy_equalizer.hpp"
 #include "utility/job_utility.hpp"
 #include "utility/tx_utility.hpp"
 #include "workload/job.hpp"
@@ -253,12 +254,8 @@ struct RealPopulation {
 TEST(EqualizerCurveCache, MatchesVirtualPathExactlyOnRealConsumers) {
   RealPopulation pop(/*n_jobs=*/60, /*n_apps=*/4, /*seed=*/91u);
   for (const double capacity : {20000.0, 60000.0, 120000.0}) {
-    core::EqualizerOptions fast;
-    fast.use_curve_cache = true;
-    core::EqualizerOptions slow;
-    slow.use_curve_cache = false;
-    const auto rf = core::equalize(pop.consumers, CpuMhz{capacity}, fast);
-    const auto rs = core::equalize(pop.consumers, CpuMhz{capacity}, slow);
+    const auto rf = core::equalize(pop.consumers, CpuMhz{capacity});
+    const auto rs = bench::legacy::equalize_virtual(pop.consumers, CpuMhz{capacity});
     EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star) << "capacity " << capacity;
     EXPECT_EQ(rf.contended, rs.contended);
     EXPECT_EQ(rf.iterations, rs.iterations);
@@ -275,28 +272,12 @@ TEST(EqualizerCurveCache, MatchesVirtualPathExactlyOnRealConsumers) {
 
 TEST(EqualizerCurveCache, GenericConsumersKeepVirtualSemantics) {
   // Consumers that export no closed form (like this file's
-  // LinearConsumer) must behave identically under both flags.
+  // LinearConsumer) must behave identically on both paths.
   std::vector<LinearConsumer> cs = {{3000.0, 0.9, 1.5}, {1000.0, 0.8, 3.0}, {2000.0, 1.0, 2.0}};
-  core::EqualizerOptions fast;
-  fast.use_curve_cache = true;
-  core::EqualizerOptions slow;
-  slow.use_curve_cache = false;
-  const auto rf = core::equalize(ptrs(cs), CpuMhz{3000.0}, fast);
-  const auto rs = core::equalize(ptrs(cs), CpuMhz{3000.0}, slow);
+  const auto rf = core::equalize(ptrs(cs), CpuMhz{3000.0});
+  const auto rs = bench::legacy::equalize_virtual(ptrs(cs), CpuMhz{3000.0});
   EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star);
   for (std::size_t i = 0; i < cs.size(); ++i) {
     EXPECT_DOUBLE_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get());
   }
-}
-
-// u_tolerance = 0 is legal: the bisection then stops on max_iterations
-// alone.
-TEST(Equalizer, ZeroToleranceTerminatesOnMaxIterations) {
-  std::vector<LinearConsumer> cs = {{2000.0, 1.0, 2.0}, {2000.0, 1.0, 2.0}};
-  core::EqualizerOptions opts;
-  opts.u_tolerance = 0.0;
-  const auto r = core::equalize(ptrs(cs), CpuMhz{2000.0}, opts);
-  EXPECT_TRUE(r.contended);
-  EXPECT_EQ(r.iterations, opts.max_iterations);
-  EXPECT_LE(r.total.get(), 2000.0 * (1.0 + 1e-9));
 }

@@ -521,15 +521,15 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// Records what the router saw on the last route_job call.
 class RecordingRouter final : public federation::DomainRouter {
  public:
-  std::vector<std::size_t> queued;
+  std::vector<double> weight;
   std::vector<std::size_t> active;
 
   std::size_t route_job(const workload::JobSpec&,
                         const std::vector<federation::DomainStatus>& domains) override {
-    queued.clear();
+    weight.clear();
     active.clear();
     for (const auto& d : domains) {
-      queued.push_back(d.outbound_transfers_queued);
+      weight.push_back(d.weight);
       active.push_back(d.active_jobs);
     }
     return 0;
@@ -617,16 +617,15 @@ TEST(FederationStatusCache, ReusedRoutingSnapshotRewritesEveryField) {
     auto& d = fed.add_domain("d" + std::to_string(i), make_policy());
     d.world().cluster().add_nodes(1, cluster::Resources{12000_mhz, 4096_mb});
   }
-  fed.set_transfer_queue_probe([](std::size_t d) { return d + 3; });
+  fed.set_domain_weight(1, 0.5);
   fed.submit_job(make_job(0));
-  EXPECT_EQ(rec->queued, (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(rec->weight, (std::vector<double>{1.0, 0.5, 1.0}));
   EXPECT_EQ(rec->active, (std::vector<std::size_t>{0, 0, 0}));
 
-  // Unsetting the probe must zero the field in the reused buffer, not
-  // leave the last probe's answers behind.
-  fed.set_transfer_queue_probe(nullptr);
+  // The next route must see the new weight and count in the reused
+  // buffer, not the last call's answers.
+  fed.set_domain_weight(1, 1.0);
   fed.submit_job(make_job(1));
-  EXPECT_EQ(rec->queued, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(rec->weight, (std::vector<double>{1.0, 1.0, 1.0}));
   EXPECT_EQ(rec->active, (std::vector<std::size_t>{1, 0, 0}));
-  for (const auto& s : fed.status(0_s)) EXPECT_EQ(s.outbound_transfers_queued, 0u);
 }

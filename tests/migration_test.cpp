@@ -414,18 +414,10 @@ TEST(MigrationIntegration, DrainEvacuatesRunningJobsWithZeroWorkLost) {
 
 namespace {
 
-struct DrainRun {
-  migration::MigrationStats stats;
-  /// Max DomainStatus::outbound_transfers_queued observed on the drained
-  /// domain while the evacuation was in flight (the Federation status
-  /// plumbing fed by the manager's transfer-queue probe).
-  std::size_t max_status_queue{0};
-};
-
 /// Drive a 3-domain federation to t=500 with 6 running jobs, then drain
 /// the domain owning job 0 and run to completion under the given link
-/// mode, sampling Federation::status each second around the evacuation.
-DrainRun drain_with_link_mode(migration::LinkMode mode) {
+/// mode.
+migration::MigrationStats drain_with_link_mode(migration::LinkMode mode) {
   sim::Engine engine;
   federation::Federation fed(engine, federation::make_router("least-loaded"));
   for (int i = 0; i < 3; ++i) add_nodes(fed.add_domain("d" + std::to_string(i), make_policy()), 2);
@@ -441,19 +433,8 @@ DrainRun drain_with_link_mode(migration::LinkMode mode) {
     engine.schedule_at(0_s, sim::EventPriority::kWorkloadArrival,
                        [&fed, spec] { fed.submit_job(spec); });
   }
-  std::size_t drained = 99;
-  engine.schedule_at(util::Seconds{500.0}, sim::EventPriority::kWorkloadArrival, [&] {
-    drained = fed.job_domain(util::JobId{0});
-    fed.set_domain_weight(drained, 0.0);
-  });
-  DrainRun run;
-  for (int t = 501; t < 700; ++t) {
-    engine.schedule_at(util::Seconds{static_cast<double>(t)}, sim::EventPriority::kSampling, [&] {
-      const auto status = fed.status(engine.now());
-      run.max_status_queue =
-          std::max(run.max_status_queue, status.at(drained).outbound_transfers_queued);
-    });
-  }
+  engine.schedule_at(util::Seconds{500.0}, sim::EventPriority::kWorkloadArrival,
+                     [&] { fed.set_domain_weight(fed.job_domain(util::JobId{0}), 0.0); });
   fed.start();
   mgr.start();
   while (fed.total_completed() < 6 && engine.now().get() < 1.0e5) {
@@ -462,8 +443,7 @@ DrainRun drain_with_link_mode(migration::LinkMode mode) {
   EXPECT_EQ(fed.total_completed(), 6u);
   EXPECT_EQ(mgr.stats().started, mgr.stats().completed);
   EXPECT_DOUBLE_EQ(mgr.stats().work_lost_mhz_s, 0.0);
-  run.stats = mgr.stats();
-  return run;
+  return mgr.stats();
 }
 
 }  // namespace
@@ -475,20 +455,16 @@ TEST(MigrationIntegration, UplinkModeSerializesAnEvacuationP2pDoesNot) {
   // source's single uplink: the second waits exactly one wire time
   // (1300 MB at the 125 MB/s default = 10.4 s).
   const auto p2p = drain_with_link_mode(migration::LinkMode::kP2p);
-  EXPECT_EQ(p2p.stats.started, 2);
-  EXPECT_DOUBLE_EQ(p2p.stats.queue_wait_seconds, 0.0);
-  EXPECT_EQ(p2p.max_status_queue, 0u);  // independent pairs: nothing waits
+  EXPECT_EQ(p2p.started, 2);
+  EXPECT_DOUBLE_EQ(p2p.queue_wait_seconds, 0.0);  // independent pairs: nothing waits
 
   const auto uplink = drain_with_link_mode(migration::LinkMode::kUplink);
-  EXPECT_EQ(uplink.stats.started, 2);
+  EXPECT_EQ(uplink.started, 2);
   const double wire = 1300.0 / 125.0;
-  EXPECT_NEAR(uplink.stats.queue_wait_seconds, wire, 1e-6);
-  // The queued transfer was visible through Federation::status while it
-  // waited (the manager's transfer-queue probe).
-  EXPECT_EQ(uplink.max_status_queue, 1u);
+  EXPECT_NEAR(uplink.queue_wait_seconds, wire, 1e-6);
   // Same images, same modeled uncontended time — contention only queues.
-  EXPECT_DOUBLE_EQ(uplink.stats.bytes_moved_mb, p2p.stats.bytes_moved_mb);
-  EXPECT_DOUBLE_EQ(uplink.stats.transfer_seconds, p2p.stats.transfer_seconds);
+  EXPECT_DOUBLE_EQ(uplink.bytes_moved_mb, p2p.bytes_moved_mb);
+  EXPECT_DOUBLE_EQ(uplink.transfer_seconds, p2p.transfer_seconds);
 }
 
 // --- runner-level scenarios --------------------------------------------------
@@ -642,13 +618,11 @@ TEST(MigrationScenario, ConfigKeysRoundTripThroughLoader) {
   cfg.set("migration.max_moves_per_tick", "3");
   cfg.set("migration.default_bandwidth_mb_per_s", "250");
   cfg.set("migration.selection", "cost");
-  cfg.set("migration.align_attach", "true");
   cfg.set("bandwidth.0.1", "500");
   cfg.set("link_latency.2.0", "9.5");
   const auto fs = scenario::scenario_from_config(cfg);
   EXPECT_TRUE(fs.migration.enabled);
   EXPECT_EQ(fs.migration.policy, "drain+rebalance");
-  EXPECT_TRUE(fs.migration.align_attach);
   EXPECT_DOUBLE_EQ(fs.migration.check_interval_s, 45.0);
   EXPECT_EQ(fs.migration.max_moves_per_tick, 3);
   EXPECT_DOUBLE_EQ(fs.migration.default_bandwidth_mb_per_s, 250.0);
@@ -861,53 +835,6 @@ TEST(CompositePolicy, RebalanceSeesDrainStageLoadShifts) {
   }
 }
 
-TEST(RebalancePolicy, CongestionGuardSkipsBackedUpSources) {
-  // A source whose outbound uplink already has a queue proposes nothing
-  // once the queue reaches migration.max_queued_transfers; below the
-  // threshold (or with the guard off) behavior is unchanged.
-  sim::Engine engine;
-  federation::Federation fed(engine, federation::make_router("least-loaded"));
-  for (int i = 0; i < 3; ++i) add_nodes(fed.add_domain("d" + std::to_string(i), make_policy()), 2);
-  fed.set_domain_weight(1, 0.0);
-  fed.set_domain_weight(2, 0.0);
-  for (unsigned id = 0; id < 9; ++id) fed.submit_job(make_job(id));  // all land on d0
-  fed.set_domain_weight(1, 1.0);
-  fed.set_domain_weight(2, 1.0);
-
-  auto status = fed.status(0_s);  // d0: 27000 / 24000 = 1.125 > 1.1
-  status[0].outbound_transfers_queued = 4;
-
-  migration::PolicyConfig cfg;  // guard off by default
-  EXPECT_FALSE(migration::RebalancePolicy{cfg}.propose(fed, status, 0_s, 100).empty());
-
-  cfg.max_queued_transfers = 5;  // queue (4) below threshold: still moves
-  EXPECT_FALSE(migration::RebalancePolicy{cfg}.propose(fed, status, 0_s, 100).empty());
-
-  cfg.max_queued_transfers = 4;  // at threshold: source skipped
-  EXPECT_TRUE(migration::RebalancePolicy{cfg}.propose(fed, status, 0_s, 100).empty());
-
-  // Drains ignore the guard: evacuation beats link tidiness.
-  fed.set_domain_weight(0, 0.0);
-  auto drained = fed.status(0_s);
-  drained[0].outbound_transfers_queued = 100;
-  migration::PolicyConfig drain_cfg;
-  drain_cfg.max_queued_transfers = 4;
-  EXPECT_FALSE(migration::DrainPolicy{drain_cfg}.propose(fed, drained, 0_s, 100).empty());
-}
-
-TEST(MigrationScenario, MaxQueuedTransfersKeyRoundTripsAndValidates) {
-  util::Config cfg;
-  cfg.set("migration.max_queued_transfers", "6");
-  EXPECT_EQ(scenario::scenario_from_config(cfg).migration.max_queued_transfers, 6);
-  EXPECT_EQ(scenario::scenario_from_config(util::Config{})
-                .migration.max_queued_transfers,
-            0);  // default: guard off
-
-  util::Config bad;
-  bad.set("migration.max_queued_transfers", "-1");
-  EXPECT_THROW((void)scenario::scenario_from_config(bad), util::ConfigError);
-}
-
 TEST(MigrationIntegration, RecoveryMidEvacuationCancelsQueuedTransfersAndJobsStayPut) {
   // A drained domain evacuates through a skinny shared uplink; the queue
   // is long when the domain recovers. Every grant still waiting for the
@@ -1043,71 +970,3 @@ TEST(MigrationIntegration, RecoveryWithinSuspendWindowAbortsBeforeDetach) {
   EXPECT_TRUE(fed.domain(0).world().cluster().validate().empty());
 }
 
-TEST(MigrationIntegration, AlignAttachLandsAtDestinationCycleWithSameCompletion) {
-  // align_attach parks an arrived image until the destination
-  // controller's next periodic cycle and attaches at kWorkloadArrival —
-  // ahead of kController at that shared timestamp — so the very cycle
-  // that first *could* see the job actually plans it. Since an
-  // immediately-attached job would have sat suspended until that same
-  // cycle anyway, the completion timeline is unchanged; only the attach
-  // instant moves onto the cycle boundary.
-  struct Run {
-    double attach_s{-1.0};      // first probe second with the move completed
-    double completion_s{-1.0};  // first probe second with the job finished
-  };
-  const auto drive = [](bool align) {
-    sim::Engine engine;
-    federation::Federation fed(engine, federation::make_router("least-loaded"));
-    for (int i = 0; i < 2; ++i) {
-      add_nodes(fed.add_domain("d" + std::to_string(i), make_policy()), 2);
-    }
-    migration::MigrationOptions opts;
-    opts.check_interval = util::Seconds{60.0};
-    opts.align_attach = align;
-    migration::MigrationManager mgr(fed, migration::TransferModel{},
-                                    migration::make_migration_policy("drain"), opts);
-    const auto spec = make_job(0);
-    engine.schedule_at(0_s, sim::EventPriority::kWorkloadArrival,
-                       [&fed, spec] { fed.submit_job(spec); });
-    // Drain whichever domain hosts the job at t=500; the manager's t=540
-    // tick ships it to the other domain.
-    engine.schedule_at(util::Seconds{500.0}, sim::EventPriority::kWorkloadArrival,
-                       [&] { fed.set_domain_weight(fed.job_domain(util::JobId{0}), 0.0); });
-    Run run;
-    for (int t = 500; t <= 4000; ++t) {
-      engine.schedule_at(util::Seconds{static_cast<double>(t)}, sim::EventPriority::kSampling,
-                         [&run, &mgr, &fed, t] {
-                           if (run.attach_s < 0.0 && mgr.stats().completed == 1) {
-                             run.attach_s = static_cast<double>(t);
-                           }
-                           if (run.completion_s < 0.0 && fed.total_completed() == 1) {
-                             run.completion_s = static_cast<double>(t);
-                           }
-                         });
-    }
-    fed.start();
-    mgr.start();
-    engine.run_until(util::Seconds{4000.0});
-    EXPECT_EQ(fed.total_completed(), 1u);
-    EXPECT_EQ(mgr.stats().completed, 1);
-    EXPECT_DOUBLE_EQ(mgr.stats().work_lost_mhz_s, 0.0);
-    return run;
-  };
-
-  const Run immediate = drive(false);
-  const Run aligned = drive(true);
-  ASSERT_GT(immediate.attach_s, 0.0);
-  ASSERT_GT(aligned.attach_s, 0.0);
-
-  // Immediate attach lands mid-cycle, right after the ~12 s transfer that
-  // the t=540 drain tick kicked off. The aligned attach waits for the
-  // destination's next cycle: with two auto-staggered 600 s controllers
-  // the destination fires at offset 300, so the boundary after the
-  // transfer is t=900.
-  EXPECT_LT(immediate.attach_s, 600.0);
-  EXPECT_DOUBLE_EQ(aligned.attach_s, 900.0);
-
-  // Deferring the attach costs nothing: the planning cycle — and hence
-  // the completion timeline — is identical either way.
-  EXPECT_DOUBLE_EQ(aligned.completion_s, immediate.completion_s);
-}

@@ -1,12 +1,15 @@
 // Tests for scenario builders, the experiment runner, and reporting.
 
 #include "scenario/experiment.hpp"
+#include "scenario/federation_experiment.hpp"
 #include "scenario/report.hpp"
 #include "scenario/scenario.hpp"
+#include "util/config.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 using namespace heteroplace;
 
@@ -91,6 +94,29 @@ TEST(Experiment, HorizonOverrideStopsEarly) {
   const auto r = scenario::run_experiment(tiny_scenario(), opt);
   EXPECT_DOUBLE_EQ(r.summary.sim_end_time_s, 1800.0);
   EXPECT_LT(r.summary.jobs_completed, 12);
+}
+
+TEST(Experiment, RunnerRejectsANonPositiveSampleInterval) {
+  // A zero interval would reschedule the sampling tick at the same
+  // instant forever; a negative one would schedule it in the past.
+  for (const double dt : {0.0, -5.0}) {
+    auto s = scenario::section3_scaled(0.08);
+    s.sample_interval_s = dt;
+    EXPECT_THROW((void)scenario::run_federated_experiment(s), std::invalid_argument) << dt;
+  }
+}
+
+TEST(Experiment, RunnerRejectsRepeatedNames) {
+  // Per-domain and per-app series are keyed by name: a repeat would
+  // merge two series into one.
+  auto two_domains = scenario::federate(scenario::section3_scaled(0.08), 2);
+  two_domains.domains[1].name = two_domains.domains[0].name;
+  EXPECT_THROW((void)scenario::run_federated_experiment(two_domains), util::ConfigError);
+
+  auto two_apps = scenario::section3_scaled(0.08);
+  two_apps.apps.push_back(two_apps.apps.front());
+  two_apps.apps.back().spec.id = util::AppId{1};
+  EXPECT_THROW((void)scenario::run_federated_experiment(two_apps), util::ConfigError);
 }
 
 TEST(Experiment, DeterministicForSameSeed) {

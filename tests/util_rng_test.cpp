@@ -119,13 +119,4 @@ TEST_P(RngMoments, LognormalMedianMatches) {
   EXPECT_NEAR(below / static_cast<double>(n), 0.5, 0.01);
 }
 
-TEST_P(RngMoments, BoundedParetoStaysInBounds) {
-  hu::Rng rng(GetParam());
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.bounded_pareto(1.5, 1.0, 100.0);
-    ASSERT_GE(x, 1.0 - 1e-9);
-    ASSERT_LE(x, 100.0 + 1e-9);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RngMoments, ::testing::Values(1u, 42u, 1234u, 987654321u));

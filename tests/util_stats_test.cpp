@@ -75,78 +75,3 @@ TEST(RunningStats, NumericallyStableOnOffsetData) {
   EXPECT_NEAR(s.variance(), 0.25025, 1e-3);
 }
 
-TEST(Percentile, EmptyReturnsZero) {
-  hu::PercentileEstimator p;
-  EXPECT_DOUBLE_EQ(p.quantile(0.5), 0.0);
-}
-
-TEST(Percentile, MedianOfOddCount) {
-  hu::PercentileEstimator p;
-  for (double x : {5.0, 1.0, 3.0}) p.add(x);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
-}
-
-TEST(Percentile, InterpolatesBetweenOrderStatistics) {
-  hu::PercentileEstimator p;
-  for (double x : {0.0, 10.0}) p.add(x);
-  EXPECT_DOUBLE_EQ(p.quantile(0.25), 2.5);
-  EXPECT_DOUBLE_EQ(p.quantile(0.75), 7.5);
-}
-
-TEST(Percentile, ExtremesAndClamping) {
-  hu::PercentileEstimator p;
-  for (int i = 1; i <= 100; ++i) p.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(p.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.quantile(1.0), 100.0);
-  EXPECT_DOUBLE_EQ(p.quantile(-0.5), 1.0);
-  EXPECT_DOUBLE_EQ(p.quantile(1.5), 100.0);
-}
-
-TEST(Percentile, AddAfterQueryStillSorts) {
-  hu::PercentileEstimator p;
-  p.add(10.0);
-  EXPECT_DOUBLE_EQ(p.median(), 10.0);
-  p.add(0.0);
-  p.add(20.0);
-  EXPECT_DOUBLE_EQ(p.median(), 10.0);
-  EXPECT_DOUBLE_EQ(p.quantile(0.0), 0.0);
-}
-
-TEST(Histogram, BinsCorrectly) {
-  hu::Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0
-  h.add(1.99);  // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderAndOverflow) {
-  hu::Histogram h(0.0, 10.0, 2);
-  h.add(-1.0);
-  h.add(10.0);  // hi is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinEdges) {
-  hu::Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 17.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 20.0);
-}
-
-TEST(Histogram, ToStringMentionsCounts) {
-  hu::Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("0..1: 1"), std::string::npos);
-  EXPECT_NE(s.find("1..2: 1"), std::string::npos);
-}

@@ -152,15 +152,6 @@ TEST(Arrivals, UniformIsDeterministic) {
   EXPECT_FALSE(u.next(rng).has_value());
 }
 
-TEST(Arrivals, TracePlaysBack) {
-  util::Rng rng(0);
-  workload::TraceArrivals t({1_s, 5_s, 9_s});
-  EXPECT_DOUBLE_EQ(t.next(rng)->get(), 1.0);
-  EXPECT_DOUBLE_EQ(t.next(rng)->get(), 5.0);
-  EXPECT_DOUBLE_EQ(t.next(rng)->get(), 9.0);
-  EXPECT_FALSE(t.next(rng).has_value());
-}
-
 // --- Demand trace ------------------------------------------------------------------
 
 TEST(DemandTrace, ConstantRate) {
@@ -178,7 +169,6 @@ TEST(DemandTrace, PiecewiseSteps) {
   EXPECT_DOUBLE_EQ(t.rate_at(99_s), 10.0);
   EXPECT_DOUBLE_EQ(t.rate_at(100_s), 20.0);
   EXPECT_DOUBLE_EQ(t.rate_at(250_s), 5.0);
-  EXPECT_DOUBLE_EQ(t.peak_rate(), 20.0);
   EXPECT_EQ(t.change_times().size(), 3u);
 }
 
