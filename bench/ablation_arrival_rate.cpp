@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
                "lr_utility_mean,tx_alloc_mid_frac,jobs_completed\n";
 
   std::vector<scenario::ExperimentResult> results(inter_arrivals.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (std::size_t i = 0; i < inter_arrivals.size(); ++i) {
     scenario::Scenario s = scenario::section3_scaled(scale);
     s.jobs.mean_interarrival_s = inter_arrivals[i];

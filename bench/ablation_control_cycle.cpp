@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
                "completion_ratio_mean,disruptive_actions,instance_changes,cycles\n";
 
   std::vector<scenario::ExperimentResult> results(cycles.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (std::size_t i = 0; i < cycles.size(); ++i) {
     scenario::Scenario s = scenario::section3_scaled(scale);
     s.controller.cycle_s = cycles[i];

@@ -28,9 +28,6 @@ int main(int argc, char** argv) {
   std::cout << scenario::summary_csv_header() << ",min_class_utility\n";
 
   std::vector<scenario::ExperimentResult> results(policies.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (std::size_t i = 0; i < policies.size(); ++i) {
     scenario::Scenario s = scenario::section3_scaled(scale);
     s.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));

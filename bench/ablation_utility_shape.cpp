@@ -25,9 +25,6 @@ int main(int argc, char** argv) {
                "completion_ratio_mean,tx_alloc_mid_mhz\n";
 
   std::vector<scenario::ExperimentResult> results(shapes.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     scenario::Scenario s = scenario::section3_scaled(scale);
     s.jobs.utility_shape = shapes[i];

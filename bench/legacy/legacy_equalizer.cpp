@@ -12,17 +12,9 @@ constexpr double kUTolerance = 1.0e-5;
 constexpr int kMaxIterations = 120;
 
 /// Σ alloc_for_utility(u) over all consumers via the virtual interface.
-/// OpenMP-parallel for large consumer populations (each term may itself
-/// run a bisection).
 double total_alloc_at(const std::vector<const core::UtilityConsumer*>& consumers, double u) {
-  const auto n = static_cast<std::ptrdiff_t>(consumers.size());
   double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static) if (n > 256)
-#endif
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    total += consumers[static_cast<std::size_t>(i)]->alloc_for_utility(u).get();
-  }
+  for (const auto* c : consumers) total += c->alloc_for_utility(u).get();
   return total;
 }
 

@@ -2,9 +2,9 @@
 
 // The seed equalizer loop: Σ alloc_for_utility(u) by per-consumer virtual
 // dispatch, with the same search window, tolerance and iteration cap as
-// core::equalize. Kept so that (a) perf_baseline and micro_solver measure
-// the flat curve cache against the loop it replaced, and (b) equalizer
-// tests can assert the two agree.
+// core::equalize. Kept so that (a) perf_baseline measures the flat curve
+// cache against the loop it replaced, and (b) equalizer tests can assert
+// the two agree.
 //
 // Do not use outside bench/ and tests/.
 

@@ -19,8 +19,6 @@
 //  - wall_s is best-of-1: a run is minutes long and self-averaging
 //    (~100k control cycles); run-to-run noise is well under the
 //    thread-scaling effects being measured.
-//  - OpenMP inside the solver is pinned to one thread so the sweep
-//    isolates engine-thread scaling from intra-solve parallelism.
 //  - Each thread count runs in a forked child, so a case's peak_rss_mb
 //    (the child's ru_maxrss) is that run's own high-water mark.
 //  - hardware_threads is recorded in the JSON: speedups are only
@@ -45,10 +43,6 @@
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "obs/profile.hpp"
 #include "scenario/federation_experiment.hpp"
@@ -293,11 +287,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-#ifdef _OPENMP
-  // Isolate engine-thread scaling: the solver must not also fan out.
-  omp_set_num_threads(1);
-#endif
 
   const Shape sh = smoke ? smoke_shape() : full_shape();
   const scenario::Scenario base = macro_scenario(sh);

@@ -1,10 +1,8 @@
 #pragma once
 
-// Shared placement-problem generator for the solver benches. Both the
-// google-benchmark micro bench (micro_solver.cpp) and the committed
-// perf baseline (perf_baseline.cpp) must time the exact same problems,
-// or their numbers stop being comparable — keep the generator here and
-// nowhere else.
+// Placement-problem generator for perf_baseline's solver cases. The
+// committed BENCH_solver.json numbers were timed on exactly these
+// problems, so a change here makes new numbers incomparable with them.
 
 #include "core/placement_problem.hpp"
 #include "util/rng.hpp"

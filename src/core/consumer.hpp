@@ -169,11 +169,6 @@ class TxConsumer final : public UtilityConsumer {
   TxConsumer(const workload::TxApp& app, const utility::TxUtilityModel& model, util::Seconds now)
       : app_(&app), model_(&model), lambda_(app.arrival_rate(now)) {}
 
-  /// Use an externally supplied arrival-rate estimate (e.g. a smoothed,
-  /// noisy monitor reading) instead of the ground-truth trace.
-  TxConsumer(const workload::TxApp& app, const utility::TxUtilityModel& model, double lambda)
-      : app_(&app), model_(&model), lambda_(lambda) {}
-
   [[nodiscard]] double utility_at(util::CpuMhz alloc) const override {
     return model_->utility(app_->spec(), lambda_, alloc);
   }

@@ -111,14 +111,7 @@ class CurveCache {
   /// Σ alloc_for_utility(u) across all consumers.
   [[nodiscard]] double total_alloc_at(double u) const {
     solve_groups(u);
-    const auto n = static_cast<std::ptrdiff_t>(job_group_.size());
-    double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static) if (n > 256)
-#endif
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      total += job_alloc(static_cast<std::size_t>(i));
-    }
+    double total = sum_job_allocs();
     for (const auto& p : tx_) total += tx_alloc_for_utility(p, u);
     for (const auto* c : generic_) total += c->alloc_for_utility(u).get();
     return total;
@@ -160,6 +153,16 @@ class CurveCache {
       group_x_[g] = groups_[g].fn->inverse(u * groups_[g].importance);
     }
     group_u_ = u;
+  }
+
+  /// Σ job_alloc over all jobs, in job order. Out of line on purpose:
+  /// inlined into equalize()'s bisection loop, this loop made traced
+  /// core.equalize_ms ~20% slower on the paper_x16 benchmark workload
+  /// (GCC 12.2, -O3, shared 4-vCPU VM, 12/12 pairs).
+  [[gnu::noinline]] double sum_job_allocs() const {
+    double total = 0.0;
+    for (std::size_t j = 0; j < job_group_.size(); ++j) total += job_alloc(j);
+    return total;
   }
 
   /// Mirror of JobUtilityModel::speed_for_utility with the fn inversion

@@ -100,13 +100,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
       }
     }
     tx_consumers.reserve(world.apps().size());
-    for (const auto& app : world.apps()) {
-      if (lambda_provider_) {
-        tx_consumers.emplace_back(app, *tx_model_, lambda_provider_(app, now));
-      } else {
-        tx_consumers.emplace_back(app, *tx_model_, now);
-      }
-    }
+    for (const auto& app : world.apps()) tx_consumers.emplace_back(app, *tx_model_, now);
 
     consumers.reserve(job_consumers.size() + tx_consumers.size());
     for (const auto& c : job_consumers) consumers.push_back(&c);

@@ -33,11 +33,6 @@ struct ExperimentOptions {
   double horizon_override_s{0.0};
   /// Hard safety cap on simulated time when running to completion.
   double max_sim_time_s{5.0e6};
-  /// Measurement noise on the controller's arrival-rate observations:
-  /// each cycle the utility-driven policy sees λ_true × LogNormal(1, cv)
-  /// smoothed by an EWMA estimator (0 = perfect observation). Only
-  /// affects the utility-driven policy.
-  double lambda_noise_cv{0.0};
 };
 
 struct ExperimentResult {

@@ -170,17 +170,12 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
   ctrl_cfg.cycle = util::Seconds{fs.controller.cycle_s};
   for (std::size_t i = 0; i < domains.size(); ++i) {
     const DomainSpec& spec = domains[i];
-    // Domain 0 uses the scenario's base noise seed (the stream
-    // single-cluster runs have always seen); later domains get
-    // independent streams.
-    const std::uint64_t noise_seed =
-        (fs.seed ^ 0xD1CEBA5EULL) + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(i);
     core::ControllerConfig cfg = ctrl_cfg;
     const bool explicit_phase = spec.first_cycle_at_s >= 0.0;
     if (explicit_phase) cfg.first_cycle_at = util::Seconds{spec.first_cycle_at_s};
     federation::Domain& d = fed.add_domain(
         spec.name,
-        make_experiment_policy(options, fs.controller.solver, job_model, tx_model, noise_seed),
+        make_experiment_policy(options, fs.controller.solver, job_model, tx_model),
         fs.controller.latencies, cfg, /*auto_stagger=*/!explicit_phase);
     populate_cluster(d.world().cluster(), spec.cluster);
     const auto pid = static_cast<std::uint32_t>(i + 1);

@@ -1,10 +1,7 @@
 #pragma once
 
-// Policy construction for the experiment runner: one policy per domain,
-// each with its own deterministically seeded noisy-monitoring state
-// (per-app rate estimators).
+// Policy construction for the experiment runner: one policy per domain.
 
-#include <cstdint>
 #include <memory>
 
 #include "core/policy.hpp"
@@ -15,12 +12,10 @@
 namespace heteroplace::scenario {
 
 /// Build the policy selected by `options`. `solver` comes from the
-/// scenario's controller spec; `noise_seed` seeds the λ-observation noise
-/// stream when options.lambda_noise_cv > 0 (each controller instance gets
-/// its own estimator state).
+/// scenario's controller spec.
 [[nodiscard]] std::unique_ptr<core::PlacementPolicy> make_experiment_policy(
     const ExperimentOptions& options, const core::SolverConfig& solver,
     std::shared_ptr<utility::JobUtilityModel> job_model,
-    std::shared_ptr<utility::TxUtilityModel> tx_model, std::uint64_t noise_seed);
+    std::shared_ptr<utility::TxUtilityModel> tx_model);
 
 }  // namespace heteroplace::scenario

@@ -1,9 +1,5 @@
 #include "sim/worker_pool.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace heteroplace::sim {
 
 WorkerPool::WorkerPool(unsigned threads) {
@@ -43,13 +39,6 @@ void WorkerPool::drain() {
 }
 
 void WorkerPool::worker_loop() {
-#ifdef _OPENMP
-  // Batch items are the parallelism here: an OpenMP region inside one
-  // (the equalizer's large-population sums) must not fork a default-sized
-  // team per engine thread and oversubscribe the cores. The setting is
-  // per thread, so each worker pins its own.
-  omp_set_num_threads(1);
-#endif
   std::unique_lock<std::mutex> lk(mu_);
   std::uint64_t seen = 0;
   for (;;) {

@@ -12,14 +12,6 @@
 // The first exception thrown by an item is captured and rethrown from
 // run(); remaining unstarted items are skipped (the batch is already
 // lost — fail fast rather than pile more work on a torn state).
-//
-// In an OpenMP build every pool thread runs with a one-thread OpenMP team
-// (omp_get_max_threads() == 1), so items never nest a team per engine
-// thread. The calling thread keeps its own setting. The equalizer's
-// OpenMP reductions (over more than 256 consumers) group their partial
-// sums by team size, so for such a sum to be bit-identical whichever
-// thread runs the item, the caller needs a one-thread team too
-// (OMP_NUM_THREADS=1, as bench/e2e and perf_macro set).
 
 #include <atomic>
 #include <condition_variable>

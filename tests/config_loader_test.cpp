@@ -483,31 +483,3 @@ TEST(ConfigLoader, MultiDomainScenarioActuallyRuns) {
   EXPECT_EQ(r.summary.jobs_completed, 6);
   EXPECT_EQ(r.summary.invariant_violations, 0);
 }
-
-TEST(NoisyMonitoring, EqualizationSurvivesMeasurementNoise) {
-  // The controller sees λ through a noisy monitor + EWMA; equalization
-  // quality degrades gracefully rather than collapsing.
-  auto s = scenario::section3_scaled(0.12);
-  s.jobs.count = 20;
-  scenario::ExperimentOptions noisy;
-  noisy.lambda_noise_cv = 0.3;
-  noisy.validate_invariants = true;
-  const auto r = scenario::run_experiment(s, noisy);
-  EXPECT_EQ(r.summary.jobs_completed, 20);
-  EXPECT_EQ(r.summary.invariant_violations, 0);
-  EXPECT_LT(r.summary.equalization_gap.mean(), 0.25);
-}
-
-TEST(NoisyMonitoring, NoiseChangesTheTrajectoryDeterministically) {
-  auto s = scenario::section3_scaled(0.12);
-  s.jobs.count = 15;
-  scenario::ExperimentOptions noisy;
-  noisy.lambda_noise_cv = 0.5;
-  const auto a = scenario::run_experiment(s, noisy);
-  const auto b = scenario::run_experiment(s, noisy);
-  // Same seed ⇒ identical even with noise (noise stream is seeded).
-  EXPECT_DOUBLE_EQ(a.summary.tx_utility.mean(), b.summary.tx_utility.mean());
-  // And the noisy run differs from the clean one.
-  const auto clean = scenario::run_experiment(s, {});
-  EXPECT_NE(a.summary.tx_utility.mean(), clean.summary.tx_utility.mean());
-}

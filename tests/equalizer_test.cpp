@@ -252,21 +252,26 @@ struct RealPopulation {
 }  // namespace
 
 TEST(EqualizerCurveCache, MatchesVirtualPathExactlyOnRealConsumers) {
-  RealPopulation pop(/*n_jobs=*/60, /*n_apps=*/4, /*seed=*/91u);
-  for (const double capacity : {20000.0, 60000.0, 120000.0}) {
-    const auto rf = core::equalize(pop.consumers, CpuMhz{capacity});
-    const auto rs = bench::legacy::equalize_virtual(pop.consumers, CpuMhz{capacity});
-    EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star) << "capacity " << capacity;
-    EXPECT_EQ(rf.contended, rs.contended);
-    EXPECT_EQ(rf.iterations, rs.iterations);
-    ASSERT_EQ(rf.allocations.size(), rs.allocations.size());
-    for (std::size_t i = 0; i < rf.allocations.size(); ++i) {
-      EXPECT_DOUBLE_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get())
-          << "capacity " << capacity << " consumer " << i;
-      EXPECT_DOUBLE_EQ(rf.allocations[i].utility, rs.allocations[i].utility)
-          << "capacity " << capacity << " consumer " << i;
+  // 300 jobs covers populations above 256 consumers. Both paths sum as
+  // plain left folds, so they must agree bit for bit at every size.
+  for (const int n_jobs : {60, 300}) {
+    RealPopulation pop(n_jobs, /*n_apps=*/4, /*seed=*/91u);
+    // Capacities per 60 jobs, scaled with the population.
+    for (const double per_60_jobs : {20000.0, 60000.0, 120000.0}) {
+      const CpuMhz capacity{per_60_jobs * n_jobs / 60.0};
+      SCOPED_TRACE(testing::Message() << n_jobs << " jobs, capacity " << capacity.get());
+      const auto rf = core::equalize(pop.consumers, capacity);
+      const auto rs = bench::legacy::equalize_virtual(pop.consumers, capacity);
+      EXPECT_EQ(rf.u_star, rs.u_star);
+      EXPECT_EQ(rf.contended, rs.contended);
+      EXPECT_EQ(rf.iterations, rs.iterations);
+      ASSERT_EQ(rf.allocations.size(), rs.allocations.size());
+      for (std::size_t i = 0; i < rf.allocations.size(); ++i) {
+        EXPECT_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get()) << "consumer " << i;
+        EXPECT_EQ(rf.allocations[i].utility, rs.allocations[i].utility) << "consumer " << i;
+      }
+      EXPECT_EQ(rf.total.get(), rs.total.get());
     }
-    EXPECT_DOUBLE_EQ(rf.total.get(), rs.total.get());
   }
 }
 

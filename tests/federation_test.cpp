@@ -122,20 +122,6 @@ TEST(FederationEquivalence, OneDomainReproducesSingleWorldRunExactly) {
   EXPECT_DOUBLE_EQ(fed.summary.tx_utility.mean(), fs.tx_utility.mean());
 }
 
-// The equivalence holds under noisy monitoring too (domain 0 reuses the
-// single-cluster noise seed).
-TEST(FederationEquivalence, OneDomainMatchesUnderNoisyMonitoring) {
-  scenario::ExperimentOptions opt;
-  opt.lambda_noise_cv = 0.3;
-  opt.horizon_override_s = 30000.0;
-
-  const scenario::ExperimentResult single = scenario::run_experiment(mid_scenario(), opt);
-  const scenario::FederatedResult fed =
-      scenario::run_federated_experiment(scenario::federate(mid_scenario(), 1), opt);
-  require_same_series(fed.domains[0].result.series, single.series, "u_star");
-  require_same_series(fed.domains[0].result.series, single.series, "tx_alloc_mhz");
-}
-
 // federate() copies the whole scenario, SLOs included, so a sharded SLO
 // run keeps its alerts.
 TEST(FederationEquivalence, FederateKeepsSlos) {

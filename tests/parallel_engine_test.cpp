@@ -32,10 +32,6 @@
 #include "sim/worker_pool.hpp"
 #include "util/config.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 using namespace heteroplace;
 
 namespace {
@@ -494,33 +490,4 @@ TEST(ParallelEngineConfig, ZeroThreadsRejected) {
   EXPECT_THROW(
       (void)scenario::scenario_from_config(util::Config::from_string("engine.threads = 0\n")),
       util::ConfigError);
-}
-
-// --- OpenMP inside pool items --------------------------------------------------
-
-TEST(WorkerPoolOpenMp, PoolThreadsRunOneThreadTeams) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "built without OpenMP";
-#else
-  // Two items that each wait for the other to start: the calling thread
-  // takes one, so the other must run on a pool thread.
-  sim::WorkerPool pool(2);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> started{0};
-  std::atomic<int> worker_items{0};
-  std::atomic<int> worker_max_threads{-1};
-  pool.run(2, [&](std::size_t) {
-    started.fetch_add(1);
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    if (std::this_thread::get_id() != caller) {
-      worker_items.fetch_add(1);
-      worker_max_threads.store(omp_get_max_threads());
-    }
-  });
-  ASSERT_EQ(worker_items.load(), 1);
-  EXPECT_EQ(worker_max_threads.load(), 1);
-#endif
 }
