@@ -12,7 +12,7 @@ util::NodeId Cluster::add_node(Resources capacity, ClassId klass) {
   const util::NodeId id{static_cast<util::NodeId::underlying_type>(nodes_.size())};
   nodes_.emplace_back(id, capacity, klass);
   total_capacity_ += capacity;
-  placeable_dirty_ = true;
+  capacity_changed();
   return id;
 }
 
@@ -66,12 +66,12 @@ const Node& Cluster::node(util::NodeId id) const {
 
 void Cluster::set_power_state(util::NodeId id, PowerState s) {
   node_mut(id).set_power_state(s);
-  placeable_dirty_ = true;
+  capacity_changed();
 }
 
 void Cluster::set_speed_factor(util::NodeId id, double f) {
   node_mut(id).set_speed_factor(f);
-  placeable_dirty_ = true;
+  capacity_changed();
 }
 
 util::VmId Cluster::create_job_vm(util::JobId job, util::MemMb memory) {

@@ -11,8 +11,10 @@
 // set_speed_factor, VM residency through place_vm / unplace_vm /
 // set_cpu_share. That is what keeps the cached capacity aggregates
 // (total_capacity, placeable_capacity, placeable_capacity_by_class)
-// current by construction, so the federation's per-arrival status
-// snapshot reads them in O(1) instead of rescanning every node.
+// current by construction, and what lets every change bump the change
+// counter: the federation's routing table refreshes a domain only when
+// its counter moved, and then reads these aggregates in O(1) instead of
+// rescanning every node.
 //
 // Cost model for VMs: every VM ever created stays in vms_ (stopped ones
 // included), so whole-registry scans grow with the run. The per-cycle
@@ -20,6 +22,7 @@
 // instead: the web-instance VMs that are not stopped, kept current by
 // create_web_vm and set_vm_state, so they cost O(live web instances).
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -48,7 +51,7 @@ class Cluster {
   /// Register a machine class; nodes reference classes by the returned
   /// id. The registry always holds the implicit default class at id 0.
   ClassId add_class(MachineClass c) {
-    placeable_dirty_ = true;  // the per-class vector grows
+    capacity_changed();  // the per-class vector grows
     return classes_.add(std::move(c));
   }
 
@@ -139,12 +142,23 @@ class Cluster {
   /// consistent with VM states; CPU shares only on running VMs.
   [[nodiscard]] std::vector<std::string> validate() const;
 
+  /// Count every change to the capacity aggregates (node or class added,
+  /// power state or speed changed) in `*counter`; nullptr (the default)
+  /// counts nothing. The federation's routing table reads the counter to
+  /// refresh only the domains whose status inputs changed.
+  void set_change_counter(std::uint64_t* counter) { change_counter_ = counter; }
+
  private:
   [[nodiscard]] Vm& vm_mut(util::VmId id);
   [[nodiscard]] Node& node_mut(util::NodeId id);
   /// Re-fold the placeable aggregates if a node or class changed since
   /// the last read.
   void refresh_placeable() const;
+  /// Invalidate the placeable aggregates and bump the change counter.
+  void capacity_changed() {
+    placeable_dirty_ = true;
+    if (change_counter_ != nullptr) ++*change_counter_;
+  }
 
   std::vector<Node> nodes_;
   Resources total_capacity_{};
@@ -154,6 +168,7 @@ class Cluster {
   mutable bool placeable_dirty_{true};
   mutable Resources placeable_{};
   mutable std::vector<Resources> placeable_by_class_;
+  std::uint64_t* change_counter_{nullptr};
   MachineClassRegistry classes_;
   std::unordered_map<util::VmId, Vm> vms_;
   std::vector<util::VmId> vm_order_;  // insertion order for deterministic iteration

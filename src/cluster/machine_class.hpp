@@ -58,6 +58,8 @@ struct MachineClass {
   [[nodiscard]] Resources capacity() const {
     return Resources{util::CpuMhz{delivered_cpu_mhz()}, util::MemMb{mem_mb}};
   }
+
+  [[nodiscard]] bool operator==(const MachineClass&) const = default;
 };
 
 /// Hard placement constraints a job or app imposes on the machines it

@@ -11,6 +11,7 @@ void World::add_app(workload::TxApp app) {
   app_index_.emplace(id, apps_.size());
   apps_.push_back(std::move(app));
   ++apps_epoch_;
+  if (change_counter_ != nullptr) ++*change_counter_;
 }
 
 const workload::TxApp& World::app(util::AppId id) const {
@@ -23,6 +24,7 @@ workload::TxApp& World::app_mut(util::AppId id) {
   auto it = app_index_.find(id);
   if (it == app_index_.end()) throw std::out_of_range("World::app_mut: unknown app id");
   ++apps_epoch_;
+  if (change_counter_ != nullptr) ++*change_counter_;
   return apps_[it->second];
 }
 

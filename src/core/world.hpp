@@ -59,6 +59,13 @@ class World {
   /// app_mut), so callers can cache values derived from the apps.
   [[nodiscard]] std::uint64_t apps_epoch() const { return apps_epoch_; }
 
+  /// Count every apps_epoch() bump and every cluster capacity change in
+  /// `*counter` (see Cluster::set_change_counter); nullptr counts nothing.
+  void set_change_counter(std::uint64_t* counter) {
+    change_counter_ = counter;
+    cluster_.set_change_counter(counter);
+  }
+
   /// Submit a job (typically from an arrival event). The job starts in
   /// phase kPending with no VM.
   workload::Job& submit_job(workload::JobSpec spec);
@@ -116,6 +123,7 @@ class World {
   std::vector<workload::TxApp> apps_;
   std::map<util::AppId, std::size_t> app_index_;  // id → position in apps_
   std::uint64_t apps_epoch_{0};
+  std::uint64_t* change_counter_{nullptr};
   std::map<util::JobId, Entry> jobs_;
   std::vector<util::JobId> job_order_;
   std::vector<Entry*> live_;  // not-completed jobs in submission order; nullptr = tombstone

@@ -50,6 +50,7 @@ util::CpuMhz Domain::offered_cpu_load_recomputed(util::Seconds now) const {
 void Domain::account_job_added(util::CpuMhz max_speed) {
   ++active_jobs_;
   ++speed_hist_[max_speed.get()];
+  note_change();
 }
 
 void Domain::account_job_removed(util::CpuMhz max_speed) {
@@ -59,6 +60,7 @@ void Domain::account_job_removed(util::CpuMhz max_speed) {
   }
   --active_jobs_;
   if (--it->second == 0) speed_hist_.erase(it);
+  note_change();
 }
 
 }  // namespace heteroplace::federation

@@ -47,7 +47,10 @@ class Domain {
   /// Router health multiplier in [0, 1]: 1 = healthy, 0 = drained.
   /// Brownouts are modeled by lowering it (see Federation::set_domain_weight).
   [[nodiscard]] double weight() const { return weight_; }
-  void set_weight(double w) { weight_ = w; }
+  void set_weight(double w) {
+    weight_ = w;
+    note_change();
+  }
 
   /// Raw cluster CPU capacity (parked nodes included).
   [[nodiscard]] util::CpuMhz total_cpu() const { return world_.cluster().total_capacity().cpu; }
@@ -64,16 +67,25 @@ class Domain {
   [[nodiscard]] util::CpuMhz effective_cpu() const { return placeable_cpu() * weight_; }
 
   /// CPU the domain's current workload could consume: active jobs at
-  /// their speed caps plus the transactional offered load λ(t)·d. The
-  /// job part is answered from incrementally maintained aggregates
-  /// (updated on submit / completion / cross-domain handoff) so the
-  /// router's per-arrival status snapshot does not rescan every job.
-  /// The per-app tx loads are cached while `now` stays strictly between
-  /// the apps' trace breakpoints and the app registry is unchanged, so
-  /// the snapshot does not search every trace either. Summation order
-  /// (jobs first, then apps in registry order) matches the recomputed
-  /// reference bit for bit.
+  /// their speed caps plus the transactional offered load λ(t)·d.
+  ///
+  /// Cost model: O(distinct job speed caps) plus O(apps) to sum, and no
+  /// job or trace is visited. The job part comes from aggregates kept by
+  /// account_job_added / account_job_removed. The per-app tx loads are
+  /// cached for query times in the open interval tx_window() while the
+  /// app registry is unchanged; the first read outside it searches each
+  /// app's trace once. Summation order (jobs first, then apps in
+  /// registry order) matches the recomputed reference bit for bit.
   [[nodiscard]] util::CpuMhz offered_cpu_load(util::Seconds now) const;
+
+  /// Open interval (lo, hi) of query times the cached tx loads answer,
+  /// as left by the last offered_cpu_load call: the trace breakpoints of
+  /// every app bracket it.
+  struct TxWindow {
+    double lo;
+    double hi;
+  };
+  [[nodiscard]] TxWindow tx_window() const { return {tx_lo_, tx_hi_}; }
 
   /// Same quantity recomputed from scratch over the job population —
   /// the reference the incremental aggregates are pinned against in
@@ -104,7 +116,17 @@ class Domain {
   [[nodiscard]] bool auto_stagger() const { return auto_stagger_; }
 
  private:
-  friend class Federation;  // wires the executor completion slot
+  friend class Federation;  // wires the executor completion slot and the change counter
+
+  /// Count every change to this domain's routing status (weight, job
+  /// aggregates, apps, cluster capacity) in `*counter`.
+  void set_change_counter(std::uint64_t* counter) {
+    change_counter_ = counter;
+    world_.set_change_counter(counter);
+  }
+  void note_change() {
+    if (change_counter_ != nullptr) ++*change_counter_;
+  }
 
   std::size_t index_;
   std::string name_;
@@ -113,6 +135,7 @@ class Domain {
   core::World world_;  // must outlive controller_ (which holds a reference)
   std::unique_ptr<core::PlacementController> controller_;
   core::ActionExecutor::JobCompletionCallback user_completion_;
+  std::uint64_t* change_counter_{nullptr};
 
   // Incrementally maintained job-load aggregates. The speed histogram
   // (distinct max_speed → active count) makes the offered-load sum exact

@@ -1,9 +1,60 @@
 #include "federation/federation.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace heteroplace::federation {
+
+namespace {
+
+#ifndef NDEBUG
+/// Whether two statuses agree field by field, doubles bit for bit.
+bool identical(const DomainStatus& a, const DomainStatus& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (a.index != b.index || !same(a.weight, b.weight) ||
+      !same(a.capacity.get(), b.capacity.get()) || !same(a.effective.get(), b.effective.get()) ||
+      !same(a.offered_load.get(), b.offered_load.get()) || !same(a.load_ratio, b.load_ratio) ||
+      a.active_jobs != b.active_jobs || a.classes != b.classes ||
+      a.class_headroom.size() != b.class_headroom.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.class_headroom.size(); ++i) {
+    if (!same(a.class_headroom[i].get(), b.class_headroom[i].get())) return false;
+  }
+  return true;
+}
+#endif
+
+/// Rewrite every field of `s` with domain `d`'s status at `now`.
+void fill_entry(const Domain& d, util::Seconds now, DomainStatus& s) {
+  s.index = d.index();
+  s.weight = d.weight();
+  s.capacity = d.total_cpu();
+  s.effective = d.effective_cpu();
+  s.offered_load = d.offered_cpu_load(now);
+  s.load_ratio = s.offered_load.get() / s.effective.get();
+  s.active_jobs = d.active_job_count();
+  // Per-class headroom for constraint-aware routing; scalar domains
+  // leave both vectors empty and routers fall back to `effective`.
+  s.classes.clear();
+  s.class_headroom.clear();
+  const auto& reg = d.world().cluster().classes();
+  if (reg.explicit_classes()) {
+    s.classes = reg.classes();
+    for (const auto& r : d.world().cluster().placeable_capacity_by_class()) {
+      s.class_headroom.push_back(r.cpu * d.weight());
+    }
+  }
+}
+
+}  // namespace
 
 Federation::Federation(sim::Engine& engine, std::unique_ptr<DomainRouter> router)
     : engine_(engine), router_(std::move(router)) {
@@ -21,6 +72,13 @@ Domain& Federation::add_domain(std::string name, std::unique_ptr<core::Placement
   domains_.push_back(std::make_unique<Domain>(index, std::move(name), engine_, std::move(policy),
                                               latencies, config, auto_stagger));
   Domain& d = *domains_.back();
+  status_.emplace_back();
+  changes_.push_back(0);
+  seen_.push_back(0);
+  tx_.push_back({0.0, 0.0});  // empty: the first read refills
+  tx_all_ = {0.0, 0.0};
+  // The push may have moved the counters: re-point every domain.
+  for (auto& dom : domains_) dom->set_change_counter(&changes_[dom->index()]);
   // Every effect of a domain's control cycle is confined to its own
   // World, so tag its controller (and executor) with the domain index:
   // same-timestamp cycles of distinct domains may then run concurrently
@@ -63,8 +121,7 @@ std::vector<double> Federation::normalized_shares(const workload::TxAppSpec& spe
 
 void Federation::add_app(workload::TxAppSpec spec, workload::DemandTrace trace) {
   if (domains_.empty()) throw std::logic_error("Federation::add_app: no domains");
-  fill_status(engine_.now(), route_status_);
-  std::vector<double> shares = normalized_shares(spec, route_status_);
+  std::vector<double> shares = normalized_shares(spec, status(engine_.now()));
   FederatedApp app{std::move(spec), std::move(trace), std::move(shares)};
   for (auto& domain : domains_) {
     domain->world().add_app(
@@ -75,21 +132,36 @@ void Federation::add_app(workload::TxAppSpec spec, workload::DemandTrace trace) 
 
 Domain& Federation::submit_job(workload::JobSpec spec) {
   if (domains_.empty()) throw std::logic_error("Federation::submit_job: no domains");
-  if (job_domain_.count(spec.id) > 0) {
-    throw std::invalid_argument("Federation::submit_job: duplicate job id");
-  }
-  fill_status(engine_.now(), route_status_);
-  std::size_t index = router_->route_job(spec, route_status_);
-  if (index >= domains_.size()) {
-    throw std::logic_error("DomainRouter::route_job: index out of range");
-  }
+  // One lookup serves the duplicate check and the insert; the entry is
+  // taken back if the job does not land.
+  const auto [slot, fresh] = job_domain_.try_emplace(spec.id, 0);
+  if (!fresh) throw std::invalid_argument("Federation::submit_job: duplicate job id");
+  const util::Seconds now = engine_.now();
   const util::JobId id = spec.id;
   const util::CpuMhz max_speed = spec.max_speed;
+  std::size_t index = 0;
+  try {
+    const std::vector<DomainStatus>& table = status(now);
+    index = router_->route_job(spec, table);
+    if (index >= domains_.size()) {
+      throw std::logic_error("DomainRouter::route_job: index out of range");
+    }
+#ifndef NDEBUG
+    std::vector<DomainStatus> fresh_fill;
+    fill_status(now, fresh_fill);
+    for (std::size_t i = 0; i < table.size(); ++i) assert(identical(table[i], fresh_fill[i]));
+    assert(dynamic_cast<const LeastLoadedRouter*>(router_.get()) == nullptr ||
+           index == LeastLoadedRouter::reference_route(spec, fresh_fill));
+#endif
+    domains_[index]->world().submit_job(std::move(spec));
+  } catch (...) {
+    job_domain_.erase(slot);
+    throw;
+  }
+  slot->second = index;
   Domain& d = *domains_[index];
-  d.world().submit_job(std::move(spec));
   d.account_job_added(max_speed);
-  job_domain_.emplace(id, index);
-  obs_.job_routed(d.controller().obs(), id, index, max_speed.get(), engine_.now().get());
+  obs_.job_routed(d.controller().obs(), id, index, max_speed.get(), now.get());
   return d;
 }
 
@@ -147,10 +219,12 @@ void Federation::resplit_demand() {
   // would alias the same breakpoints anyway — so a weight event costs
   // only the splits it actually changed. The scaled() views themselves
   // are O(1) (shared breakpoints), not deep copies.
-  fill_status(engine_.now(), route_status_);
+  const std::vector<DomainStatus>& table = status(engine_.now());
   obs_.demand_resplit(apps_.size(), engine_.now().get());
   for (auto& app : apps_) {
-    std::vector<double> shares = normalized_shares(app.spec, route_status_);
+    // app_mut below bumps change counters; the table is only refreshed
+    // by the next status() call, so every app splits on one snapshot.
+    std::vector<double> shares = normalized_shares(app.spec, table);
     for (auto& d : domains_) {
       const std::size_t i = d->index();
       if (shares[i] == app.shares[i]) continue;
@@ -193,34 +267,32 @@ util::CpuMhz Federation::total_capacity() const {
   return total;
 }
 
-std::vector<DomainStatus> Federation::status(util::Seconds now) const {
-  std::vector<DomainStatus> out;
-  fill_status(now, out);
-  return out;
+const std::vector<DomainStatus>& Federation::status(util::Seconds now) {
+  const double t = now.get();
+  const auto inside = [t](const Domain::TxWindow& w) { return w.lo < t && t < w.hi; };
+  const bool inside_all = inside(tx_all_);
+  bool windows_moved = false;
+  for (std::size_t i = 0; i < domains_.size(); ++i) {
+    if (seen_[i] == changes_[i] && (inside_all || inside(tx_[i]))) continue;
+    seen_[i] = changes_[i];
+    fill_entry(*domains_[i], now, status_[i]);
+    const Domain::TxWindow w = domains_[i]->tx_window();
+    windows_moved |= w.lo != tx_[i].lo || w.hi != tx_[i].hi;
+    tx_[i] = w;
+  }
+  if (windows_moved) {
+    tx_all_ = {-std::numeric_limits<double>::infinity(), std::numeric_limits<double>::infinity()};
+    for (const Domain::TxWindow& w : tx_) {
+      tx_all_.lo = std::max(tx_all_.lo, w.lo);
+      tx_all_.hi = std::min(tx_all_.hi, w.hi);
+    }
+  }
+  return status_;
 }
 
 void Federation::fill_status(util::Seconds now, std::vector<DomainStatus>& out) const {
   out.resize(domains_.size());
-  for (const auto& d : domains_) {
-    DomainStatus& s = out[d->index()];
-    s.index = d->index();
-    s.weight = d->weight();
-    s.capacity = d->total_cpu();
-    s.effective = d->effective_cpu();
-    s.offered_load = d->offered_cpu_load(now);
-    s.active_jobs = d->active_job_count();
-    // Per-class headroom for constraint-aware routing; scalar domains
-    // leave both vectors empty and routers fall back to `effective`.
-    s.classes.clear();
-    s.class_headroom.clear();
-    const auto& reg = d->world().cluster().classes();
-    if (reg.explicit_classes()) {
-      s.classes = reg.classes();
-      for (const auto& r : d->world().cluster().placeable_capacity_by_class()) {
-        s.class_headroom.push_back(r.cpu * d->weight());
-      }
-    }
-  }
+  for (const auto& d : domains_) fill_entry(*d, now, out[d->index()]);
 }
 
 }  // namespace heteroplace::federation

@@ -15,10 +15,11 @@
 // one choice, the demand split is the identity, and the stagger offset of
 // domain 0 is zero.
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "federation/domain.hpp"
@@ -122,26 +123,33 @@ class Federation {
   [[nodiscard]] std::size_t total_completed() const;
   [[nodiscard]] util::CpuMhz total_capacity() const;
 
-  /// Router-facing snapshot of every domain at time `now`.
+  /// The routing table: one DomainStatus per domain, current at `now`.
+  /// Job routing, demand splits and the migration manager all read it.
   ///
-  /// Cost model: O(domains), O(1) per domain. Every field is read from a
-  /// cached or incrementally maintained aggregate — cluster capacity
-  /// (Cluster::total_capacity / placeable_capacity), the job-load
-  /// histogram and the per-app tx loads (Domain::offered_cpu_load) — so
-  /// no node, job or trace breakpoint is visited per call. Explicit
-  /// machine classes add O(classes) per domain. Job routing refreshes
-  /// one member snapshot in place rather than building a new vector per
-  /// arrival.
-  [[nodiscard]] std::vector<DomainStatus> status(util::Seconds now) const;
+  /// Cost model: O(domains that changed), plus a scan of D counters. The
+  /// table persists across calls. Each domain bumps its own change
+  /// counter wherever a status input changes: weight, job aggregates,
+  /// app registry, cluster capacity (nodes, classes, power state, speed).
+  /// An entry is refilled only when its counter moved or `now` left the
+  /// open interval its tx loads hold for (Domain::tx_window). A refill
+  /// reads cached aggregates, plus O(classes) for explicit machine
+  /// classes; it visits no job or trace breakpoint, and nodes only in the
+  /// cluster's one re-fold after a capacity change. Counters are written by each
+  /// domain's own events or by serial ones, and read here only between
+  /// batches, so they need no atomics. Every field equals a fresh
+  /// fill_status bit for bit. The reference stays valid until the next
+  /// add_domain; its contents change on the next call.
+  [[nodiscard]] const std::vector<DomainStatus>& status(util::Seconds now);
+
+  /// Rewrite every field of `out` (resized to one entry per domain) with
+  /// the status at `now`: O(domains) refills. The oracle the routing
+  /// table is checked against, in tests and in debug builds.
+  void fill_status(util::Seconds now, std::vector<DomainStatus>& out) const;
 
  private:
   /// Normalized demand shares for `spec` given a status snapshot.
   [[nodiscard]] std::vector<double> normalized_shares(const workload::TxAppSpec& spec,
                                                       const std::vector<DomainStatus>& st);
-
-  /// Rewrite every field of `out` (resized to one entry per domain) with
-  /// the status at `now`.
-  void fill_status(util::Seconds now, std::vector<DomainStatus>& out) const;
 
   struct FederatedApp {
     workload::TxAppSpec spec;
@@ -153,10 +161,19 @@ class Federation {
   std::unique_ptr<DomainRouter> router_;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<FederatedApp> apps_;
-  std::map<util::JobId, std::size_t> job_domain_;  // global job registry
+  std::unordered_map<util::JobId, std::size_t> job_domain_;  // global job registry
   CycleObserver observer_;
   obs::ObsContext obs_;
-  std::vector<DomainStatus> route_status_;  // reused by every submit_job
+  // The routing table (see status()). changes_[i] is domain i's change
+  // counter and seen_[i] its value at entry i's last refill, both
+  // contiguous so a read scans D integers. tx_[i] is the tx window entry
+  // i was filled for, and tx_all_ the intersection of every tx_[i], so
+  // one check covers all windows until a breakpoint is crossed.
+  std::vector<DomainStatus> status_;
+  std::vector<std::uint64_t> changes_;
+  std::vector<std::uint64_t> seen_;
+  std::vector<Domain::TxWindow> tx_;
+  Domain::TxWindow tx_all_{0.0, 0.0};  // empty: the first read refills
   WeightObserver weight_observer_;
   bool started_{false};
 };

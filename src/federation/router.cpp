@@ -46,21 +46,35 @@ std::uint64_t mix(std::uint64_t x) {
 
 std::size_t LeastLoadedRouter::route_job(const workload::JobSpec& spec,
                                          const std::vector<DomainStatus>& domains) {
-  std::size_t best = 0;
+  if (!spec.constraint.empty()) return reference_route(spec, domains);
+  // Unconstrained: effective_for is `effective`, and load_ratio is the
+  // quotient the reference scan would compute, so the pick is the same.
+  std::size_t best = 0;  // everything drained: domain 0, deterministically
   double best_load = std::numeric_limits<double>::infinity();
-  bool any_healthy = false;
+  for (const auto& d : domains) {
+    if (d.effective.get() <= 0.0) continue;
+    if (d.load_ratio < best_load) {
+      best_load = d.load_ratio;
+      best = d.index;
+    }
+  }
+  return best;
+}
+
+std::size_t LeastLoadedRouter::reference_route(const workload::JobSpec& spec,
+                                               const std::vector<DomainStatus>& domains) {
+  std::size_t best = 0;  // everything drained: domain 0, deterministically
+  double best_load = std::numeric_limits<double>::infinity();
   for (const auto& d : domains) {
     // Drained or constraint-incompatible: skip unless all are.
     const double eligible = d.effective_for(spec.constraint).get();
     if (eligible <= 0.0) continue;
-    any_healthy = true;
     const double load = d.offered_load.get() / eligible;
     if (load < best_load) {
       best_load = load;
       best = d.index;
     }
   }
-  if (!any_healthy) return 0;  // everything drained: keep determinism
   return best;
 }
 

@@ -34,6 +34,11 @@ struct DomainStatus {
   /// and P-state scaling applied, so a consolidated domain does not
   /// masquerade as headroom. Equals capacity × weight at full power.
   util::CpuMhz effective{0.0};
+  /// offered_load ÷ effective, computed once per fill so an unconstrained
+  /// least-loaded route reads it instead of dividing per arrival (and
+  /// finds it next to `effective`). Meaningless (inf or NaN) when
+  /// effective is 0; routers skip those domains.
+  double load_ratio{0.0};
   util::CpuMhz offered_load{0.0};  // active-job speed caps + tx offered CPU
   std::size_t active_jobs{0};
   /// Machine-class table and per-class weight-scaled placeable CPU
@@ -73,8 +78,15 @@ class DomainRouter {
 /// lowest index.
 class LeastLoadedRouter final : public DomainRouter {
  public:
+  /// Unconstrained jobs compare the precomputed load_ratio; constrained
+  /// ones divide by effective_for. Same answer as reference_route.
   [[nodiscard]] std::size_t route_job(const workload::JobSpec& spec,
                                       const std::vector<DomainStatus>& domains) override;
+  /// The plain scan: offered_load ÷ effective_for(constraint) per domain,
+  /// skipping domains with no eligible capacity. The oracle route_job is
+  /// checked against.
+  [[nodiscard]] static std::size_t reference_route(const workload::JobSpec& spec,
+                                                   const std::vector<DomainStatus>& domains);
   [[nodiscard]] std::vector<double> demand_shares(
       const workload::TxAppSpec& app, const std::vector<DomainStatus>& domains) override;
   [[nodiscard]] std::string name() const override { return "least-loaded"; }

@@ -77,7 +77,7 @@ void MigrationManager::tick() {
   }
   const int budget = options_.max_moves_per_tick - static_cast<int>(flights_.size());
   if (budget <= 0) return;
-  const auto status = fed_.status(now);
+  const auto& status = fed_.status(now);
   for (const MigrationRequest& req : policy_->propose(fed_, status, now, budget)) {
     execute(req);
   }

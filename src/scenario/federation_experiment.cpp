@@ -1,6 +1,8 @@
 #include "scenario/federation_experiment.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -196,7 +198,7 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     phases.push_back({util::Seconds{fs.jobs.tail_mean_interarrival_s}, fs.jobs.tail_count});
   }
   workload::PhasedPoissonArrivals arrivals{util::Seconds{0.0}, std::move(phases)};
-  const auto job_specs = workload::generate_jobs(arrivals, fs.jobs.tmpl, rng);
+  auto job_specs = workload::generate_jobs(arrivals, fs.jobs.tmpl, rng);
 
   // --- per-domain metrics ------------------------------------------------------
   std::vector<MetricsRecorder> recorders;
@@ -232,18 +234,53 @@ FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOpt
     }
   });
 
-  // --- schedule arrivals, weight events, sampling, control loops --------------
-  for (const auto& spec : job_specs) {
-    engine.schedule_at(spec.submit_time, sim::EventPriority::kWorkloadArrival,
-                       [&fed, spec] { fed.submit_job(spec); });
-  }
+  // --- arrivals and weight events: one cursor over a time-sorted script -------
+  // Job arrivals and weight events share kWorkloadArrival. One event walks
+  // their merge: it handles one entry per firing and reschedules itself at
+  // the next entry's time, so the heap holds one arrival event however
+  // many jobs the run has. At equal times arrivals come first, then
+  // weight events, each in its own order: the sequence-number order the
+  // engine gave them when each had its own pre-scheduled event. One entry
+  // per firing keeps the event count unchanged too.
   for (const auto& ev : fs.weight_events) {
     if (ev.domain >= fed.domain_count()) {
       throw std::invalid_argument("run_federated_experiment: weight event domain out of range");
     }
-    engine.schedule_at(util::Seconds{ev.at_s}, sim::EventPriority::kWorkloadArrival,
-                       [&fed, ev] { fed.set_domain_weight(ev.domain, ev.weight); });
   }
+  // Generated arrival times never decrease; weight events are listed in
+  // any order.
+  std::vector<std::size_t> weight_order(fs.weight_events.size());
+  for (std::size_t i = 0; i < weight_order.size(); ++i) weight_order[i] = i;
+  std::stable_sort(weight_order.begin(), weight_order.end(), [&](std::size_t a, std::size_t b) {
+    return fs.weight_events[a].at_s < fs.weight_events[b].at_s;
+  });
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  std::size_t next_job = 0;
+  std::size_t next_weight = 0;
+  const auto job_time = [&] {
+    return next_job < job_specs.size() ? job_specs[next_job].submit_time.get() : kNone;
+  };
+  const auto weight_time = [&] {
+    return next_weight < weight_order.size() ? fs.weight_events[weight_order[next_weight]].at_s
+                                             : kNone;
+  };
+  std::function<void()> arrival_cursor;
+  const auto schedule_cursor = [&] {
+    const double t = std::min(job_time(), weight_time());
+    if (t < kNone) {
+      engine.schedule_at(util::Seconds{t}, sim::EventPriority::kWorkloadArrival, arrival_cursor);
+    }
+  };
+  arrival_cursor = [&] {
+    if (job_time() <= weight_time()) {
+      fed.submit_job(std::move(job_specs[next_job++]));
+    } else {
+      const WeightEvent& ev = fs.weight_events[weight_order[next_weight++]];
+      fed.set_domain_weight(ev.domain, ev.weight);
+    }
+    schedule_cursor();
+  };
+  schedule_cursor();
 
   // --- migration subsystem (optional) -----------------------------------------
   std::optional<migration::MigrationManager> migration_mgr;

@@ -152,25 +152,32 @@ bool Engine::parallel_step(double bound) {
   queue_.begin_parallel(key.time, key.priority_bits);
   const auto batch_t0 = timing_enabled_ ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point{};
-  try {
-    pool_->run(n_groups_, [this, time = key.time](std::size_t g) {
-      for (const std::size_t item : groups_[g]) {
-        queue_.bind_staging(item);
-        util::set_log_context(time, batch_shards_[item]);
-        if (observer_ != nullptr) observer_->on_batch_item_begin(item);
-        try {
-          if (batch_cbs_[item]) batch_cbs_[item]();
-        } catch (...) {
-          if (observer_ != nullptr) observer_->on_batch_item_end();
-          util::clear_log_context();
-          queue_.unbind_staging();
-          throw;
-        }
+  const auto run_group = [this, time = key.time](std::size_t g) {
+    for (const std::size_t item : groups_[g]) {
+      queue_.bind_staging(item);
+      util::set_log_context(time, batch_shards_[item]);
+      if (observer_ != nullptr) observer_->on_batch_item_begin(item);
+      try {
+        if (batch_cbs_[item]) batch_cbs_[item]();
+      } catch (...) {
         if (observer_ != nullptr) observer_->on_batch_item_end();
         util::clear_log_context();
         queue_.unbind_staging();
+        throw;
       }
-    });
+      if (observer_ != nullptr) observer_->on_batch_item_end();
+      util::clear_log_context();
+      queue_.unbind_staging();
+    }
+  };
+  try {
+    // One shard group has nothing to overlap: run it here rather than
+    // wake every pool thread and wait for each to leave the work loop.
+    if (n_groups_ == 1) {
+      run_group(0);
+    } else {
+      pool_->run(n_groups_, run_group);
+    }
   } catch (...) {
     queue_.cancel_parallel();
     throw;

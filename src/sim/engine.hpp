@@ -16,7 +16,9 @@
 // barrier in batch pop order. The result is bit-identical to threads=1;
 // schedules that cannot be reproduced bit-identically fail loudly with
 // std::logic_error (see event_queue.hpp). Untagged events (kNoShard)
-// always execute serially on the engine's thread.
+// always execute serially on the engine's thread, and so does a batch
+// whose events all carry one shard (same staging and merge, no pool
+// hand-off).
 
 #include <array>
 #include <atomic>

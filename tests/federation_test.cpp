@@ -15,9 +15,17 @@
 #include <vector>
 
 #include "core/utility_policy.hpp"
+#include "faults/injector.hpp"
+#include "migration/manager.hpp"
+#include "power/manager.hpp"
+#include "scenario/class_factory.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/fault_factory.hpp"
 #include "scenario/federation_experiment.hpp"
+#include "scenario/power_factory.hpp"
 #include "utility/utility_fn.hpp"
+#include "workload/arrival.hpp"
+#include "workload/job_factory.hpp"
 
 using namespace heteroplace;
 using namespace heteroplace::util::literals;
@@ -348,6 +356,7 @@ std::vector<federation::DomainStatus> make_status(const std::vector<double>& cap
     s.capacity = util::CpuMhz{capacities[i]};
     s.effective = util::CpuMhz{capacities[i]};
     s.offered_load = util::CpuMhz{loads[i]};
+    s.load_ratio = loads[i] / capacities[i];
     out.push_back(s);
   }
   return out;
@@ -614,4 +623,267 @@ TEST(FederationStatusCache, ReusedRoutingSnapshotRewritesEveryField) {
   fed.submit_job(make_job(1));
   EXPECT_EQ(rec->weight, (std::vector<double>{1.0, 1.0, 1.0}));
   EXPECT_EQ(rec->active, (std::vector<std::size_t>{1, 0, 0}));
+}
+
+// --- routing table differential ------------------------------------------------
+//
+// The persistent routing table refreshes only the domains whose change
+// counter moved or whose tx window closed. These runs drive every source
+// of status change — idle-park power with cap throttling, node crashes
+// and recoveries, a domain blackout, drain and brownout weight events,
+// drain and rebalance migrations, tx trace breakpoints, explicit machine
+// classes — and check, at every arrival, the table the router is handed
+// against a fresh fill_status, and the pick against the reference.
+
+namespace {
+
+/// Name of the first field where `got` differs from `want` (doubles bit
+/// for bit); empty when they agree.
+std::string first_difference(const federation::DomainStatus& got,
+                             const federation::DomainStatus& want) {
+  if (got.index != want.index) return "index";
+  if (bits(got.weight) != bits(want.weight)) return "weight";
+  if (bits(got.capacity.get()) != bits(want.capacity.get())) return "capacity";
+  if (bits(got.effective.get()) != bits(want.effective.get())) return "effective";
+  if (bits(got.offered_load.get()) != bits(want.offered_load.get())) return "offered_load";
+  if (bits(got.load_ratio) != bits(want.load_ratio)) return "load_ratio";
+  if (got.active_jobs != want.active_jobs) return "active_jobs";
+  if (got.classes.size() != want.classes.size()) return "classes";
+  for (std::size_t c = 0; c < got.classes.size(); ++c) {
+    const cluster::MachineClass& a = got.classes[c];
+    const cluster::MachineClass& b = want.classes[c];
+    if (a.name != b.name || a.arch != b.arch || a.cores != b.cores ||
+        bits(a.core_mhz) != bits(b.core_mhz) || bits(a.mem_mb) != bits(b.mem_mb) ||
+        bits(a.speed_factor) != bits(b.speed_factor) || a.accel != b.accel) {
+      return "classes[" + std::to_string(c) + "]";
+    }
+  }
+  if (got.class_headroom.size() != want.class_headroom.size()) return "class_headroom";
+  for (std::size_t c = 0; c < got.class_headroom.size(); ++c) {
+    if (bits(got.class_headroom[c].get()) != bits(want.class_headroom[c].get())) {
+      return "class_headroom[" + std::to_string(c) + "]";
+    }
+  }
+  return "";
+}
+
+/// Routes with a real router and checks every route_job call: the table
+/// against a fresh fill, the pick against the reference scan (least-
+/// loaded) or a second instance of the same router fed the fresh fill.
+class CheckingRouter final : public federation::DomainRouter {
+ public:
+  explicit CheckingRouter(const std::string& name)
+      : inner_(federation::make_router(name)),
+        shadow_(federation::make_router(name)),
+        least_loaded_(name == "least-loaded") {}
+
+  federation::Federation* fed{nullptr};
+  long routes{0};
+  long constrained{0};
+  long mismatches{0};
+  std::string first_mismatch;
+
+  std::size_t route_job(const workload::JobSpec& spec,
+                        const std::vector<federation::DomainStatus>& table) override {
+    const double now = fed->engine().now().get();
+    std::vector<federation::DomainStatus> fresh;
+    fed->fill_status(fed->engine().now(), fresh);
+    ++routes;
+    if (!spec.constraint.empty()) ++constrained;
+    if (table.size() != fresh.size()) note("t=" + std::to_string(now) + " table size");
+    for (std::size_t i = 0; i < table.size() && i < fresh.size(); ++i) {
+      const std::string field = first_difference(table[i], fresh[i]);
+      if (!field.empty()) {
+        note("t=" + std::to_string(now) + " job " + std::to_string(spec.id.get()) + " domain " +
+             std::to_string(i) + " field " + field);
+      }
+    }
+    const std::size_t got = inner_->route_job(spec, table);
+    const std::size_t want = least_loaded_
+                                 ? federation::LeastLoadedRouter::reference_route(spec, fresh)
+                                 : shadow_->route_job(spec, fresh);
+    if (got != want) {
+      note("t=" + std::to_string(now) + " job " + std::to_string(spec.id.get()) + " routed to " +
+           std::to_string(got) + ", reference " + std::to_string(want));
+    }
+    return got;
+  }
+  std::vector<double> demand_shares(const workload::TxAppSpec& app,
+                                    const std::vector<federation::DomainStatus>& table) override {
+    return inner_->demand_shares(app, table);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  void note(const std::string& what) {
+    if (mismatches++ == 0) first_mismatch = what;
+  }
+
+  std::unique_ptr<federation::DomainRouter> inner_;
+  std::unique_ptr<federation::DomainRouter> shadow_;
+  bool least_loaded_;
+};
+
+cluster::MachineClass pool_class(const std::string& name, const std::string& arch,
+                                 double core_mhz, double speed_factor) {
+  cluster::MachineClass c;
+  c.name = name;
+  c.arch = arch;
+  c.cores = 4;
+  c.core_mhz = core_mhz;
+  c.mem_mb = 8192.0;
+  c.speed_factor = speed_factor;
+  return c;
+}
+
+struct RigCounts {
+  long routes{0};
+  long constrained{0};
+  long mismatches{0};
+  std::string first_mismatch;
+  long pstate_changes{0};
+  long parks{0};
+  long node_crashes{0};
+  long blackouts{0};
+  long migrations{0};
+};
+
+/// Four domains (two with x86 + arm class pools, two scalar) under every
+/// subsystem that moves a status input, routed by `router`.
+RigCounts run_routing_rig(const std::string& router, std::uint64_t seed) {
+  sim::Engine engine;
+  auto checker = std::make_unique<CheckingRouter>(router);
+  CheckingRouter* check = checker.get();
+  federation::Federation fed(engine, std::move(checker));
+  check->fed = &fed;
+
+  scenario::ClusterSpec pools;
+  pools.classes = {{pool_class("x86", "x86_64", 3000.0, 1.0), 2},
+                   {pool_class("arm", "arm64", 2000.0, 0.9), 2}};
+  scenario::ClusterSpec scalar;
+  scalar.nodes = 3;
+  std::vector<std::size_t> nodes_per_domain;
+  for (int i = 0; i < 4; ++i) {
+    auto& d = fed.add_domain("d" + std::to_string(i), make_policy());
+    scenario::populate_cluster(d.world().cluster(), i < 2 ? pools : scalar);
+    nodes_per_domain.push_back(d.world().cluster().node_count());
+  }
+
+  // Tx demand with staggered breakpoints; one app is constrained to x86.
+  // They are sparse on purpose: every breakpoint refills every entry, so
+  // dense ones would hide a missing counter bump (a power tick's P-state
+  // change, for one, is found only with windows this long).
+  for (unsigned a = 0; a < 2; ++a) {
+    workload::TxAppSpec spec = make_app_spec(a);
+    if (a == 1) spec.constraint.arch = "x86_64";
+    workload::DemandTrace trace;
+    for (int k = 0; k < 20; ++k) {
+      trace.add(util::Seconds{2500.0 * k + 700.0 * a}, 0.5 + 0.37 * ((k * 7 + a) % 5));
+    }
+    fed.add_app(spec, trace);
+  }
+
+  // Power: idle parking, and a cap that throttles a fully awake domain.
+  scenario::PowerSpec power;
+  power.enabled = true;
+  power.check_interval_s = 300.0;
+  power.idle_timeout_s = 900.0;
+  power.cap_w = 700.0;
+  std::vector<std::unique_ptr<power::PowerManager>> power_mgrs;
+  for (std::size_t i = 0; i < fed.domain_count(); ++i) {
+    power_mgrs.push_back(scenario::make_power_manager(engine, fed.domain(i).world(), power,
+                                                      600.0, -1.0,
+                                                      static_cast<sim::ShardId>(i)));
+  }
+
+  migration::MigrationOptions mig_opts;
+  mig_opts.check_interval = util::Seconds{120.0};
+  migration::MigrationManager mig(fed, migration::TransferModel{125.0, 2.0},
+                                  migration::make_migration_policy("drain+rebalance"), mig_opts);
+
+  // Faults: stochastic node crashes plus one explicit blackout.
+  const double horizon = 40000.0;
+  scenario::FaultSpec faults;
+  faults.enabled = true;
+  faults.checkpoint_interval_s = 600.0;
+  faults.node_mttf_s = 12000.0;
+  faults.node_mttr_s = 1500.0;
+  faults.events.push_back({"blackout", 3, 0, 0, 16000.0, 3000.0, 1.0});
+  std::vector<faults::DomainHooks> hooks;
+  for (std::size_t i = 0; i < fed.domain_count(); ++i) {
+    hooks.push_back({&fed.domain(i).world(), &fed.domain(i).controller(), power_mgrs[i].get()});
+  }
+  faults::FaultOptions fault_opts;
+  fault_opts.checkpoint_interval_s = faults.checkpoint_interval_s;
+  faults::FaultInjector injector(
+      engine, std::move(hooks),
+      scenario::build_fault_schedule(faults, seed, horizon, nodes_per_domain), fault_opts);
+  injector.set_federation(&fed);
+  injector.set_migration(&mig);
+
+  // Drain and brownout weight events.
+  const auto weight_at = [&](double t, std::size_t d, double w) {
+    engine.schedule_at(util::Seconds{t}, sim::EventPriority::kWorkloadArrival,
+                       [&fed, d, w] { fed.set_domain_weight(d, w); });
+  };
+  weight_at(6000.0, 2, 0.0);
+  weight_at(11000.0, 2, 1.0);
+  weight_at(9000.0, 0, 0.5);
+  weight_at(21000.0, 0, 1.0);
+
+  // Jobs: a third need x86, a fifth need fast cores (excludes arm).
+  util::Rng rng(seed);
+  workload::JobTemplate tmpl;
+  tmpl.work = util::MhzSeconds{2.0e6};
+  tmpl.work_cv = 0.5;
+  tmpl.goal_stretch = 4.0;
+  workload::PoissonArrivals arrivals{util::Seconds{0.0}, util::Seconds{80.0}, 300};
+  std::vector<workload::JobSpec> jobs = workload::generate_jobs(arrivals, tmpl, rng);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (j % 3 == 0) jobs[j].constraint.arch = "x86_64";
+    if (j % 5 == 0) jobs[j].constraint.min_core_mhz = 2500.0;
+    engine.schedule_at(jobs[j].submit_time, sim::EventPriority::kWorkloadArrival,
+                       [&fed, spec = jobs[j]] { fed.submit_job(spec); });
+  }
+
+  fed.start();
+  mig.start();
+  for (auto& mgr : power_mgrs) mgr->start();
+  injector.start();
+  engine.run_until(util::Seconds{horizon});
+
+  RigCounts out;
+  out.routes = check->routes;
+  out.constrained = check->constrained;
+  out.mismatches = check->mismatches;
+  out.first_mismatch = check->first_mismatch;
+  for (const auto& mgr : power_mgrs) {
+    out.pstate_changes += mgr->stats().pstate_changes;
+    out.parks += mgr->stats().parks;
+  }
+  const faults::DomainFaultStats totals = injector.totals(engine.now());
+  out.node_crashes = totals.node_crashes;
+  out.blackouts = totals.blackouts;
+  out.migrations = mig.stats().completed;
+  return out;
+}
+
+}  // namespace
+
+TEST(RoutingTable, EqualsFreshFillAtEveryArrival) {
+  for (const std::string router : {"least-loaded", "capacity-weighted", "sticky"}) {
+    for (const std::uint64_t seed : {3u, 11u}) {
+      const RigCounts r = run_routing_rig(router, seed);
+      const std::string run = router + " seed " + std::to_string(seed);
+      EXPECT_EQ(r.routes, 300) << run;
+      EXPECT_EQ(r.mismatches, 0) << run << ": first at " << r.first_mismatch;
+      // Non-vacuity: every change source fired.
+      EXPECT_GT(r.constrained, 0) << run;
+      EXPECT_GT(r.pstate_changes, 0) << run;
+      EXPECT_GT(r.parks, 0) << run;
+      EXPECT_GT(r.node_crashes, 0) << run;
+      EXPECT_GT(r.blackouts, 0) << run;
+      EXPECT_GT(r.migrations, 0) << run;
+    }
+  }
 }

@@ -86,6 +86,31 @@ TEST(ParallelEngine, SameShardKeepsPushOrder) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST(ParallelEngine, SingleShardBatchRunsOnTheEngineThread) {
+  // One shard group has nothing to overlap: the batch runs on the engine
+  // thread, still counts as a batch, and its staged pushes replay in pop
+  // order at the barrier, as the serial engine would have pushed them.
+  sim::Engine engine;
+  engine.set_threads(4);
+  const std::thread::id engine_thread = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    engine.schedule_at(util::Seconds{1.0}, kCtrl, 5, [&, i] {
+      ran_on.push_back(std::this_thread::get_id());
+      engine.schedule_at(util::Seconds{2.0}, kCtrl, [&order, i] { order.push_back(2 * i); });
+      engine.schedule_in(util::Seconds{1.0}, kCtrl, [&order, i] { order.push_back(2 * i + 1); });
+    });
+  }
+  engine.run();
+  ASSERT_EQ(ran_on.size(), 4u);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, engine_thread);
+  EXPECT_EQ(engine.parallel_batches(), 1u);
+  EXPECT_EQ(engine.batched_events(), 4u);
+  ASSERT_EQ(order.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
 TEST(ParallelEngine, UnshardedEventSplitsTheBatch) {
   // sharded, sharded, UNSHARDED, sharded at one key: the untagged event
   // must run serially, alone, between two batches — and overall
