@@ -48,9 +48,14 @@ struct PlacementPlan {
   std::vector<DesiredWebInstance> instances;
 
   /// Put the plan into the contract order. Keys must already be unique.
+  /// A list that is already in order costs one linear check.
   void sort() {
-    std::sort(jobs.begin(), jobs.end(), job_before);
-    std::sort(instances.begin(), instances.end(), instance_before);
+    if (!std::is_sorted(jobs.begin(), jobs.end(), job_before)) {
+      std::sort(jobs.begin(), jobs.end(), job_before);
+    }
+    if (!std::is_sorted(instances.begin(), instances.end(), instance_before)) {
+      std::sort(instances.begin(), instances.end(), instance_before);
+    }
   }
 
   /// True when both lists are strictly increasing in the contract order.

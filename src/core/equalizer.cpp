@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace heteroplace::core {
@@ -75,7 +73,10 @@ class CurveCache {
  public:
   explicit CurveCache(const std::vector<const UtilityConsumer*>& consumers) {
     refs_.reserve(consumers.size());
-    std::map<std::pair<const void*, double>, std::uint32_t> group_ids;
+    for (auto* v : {&job_submit_, &job_goal_, &job_now_, &job_remaining_, &job_max_speed_}) {
+      v->reserve(consumers.size());
+    }
+    job_group_.reserve(consumers.size());
     for (const auto* c : consumers) {
       CurveParams p = c->curve_params();
       switch (p.form) {
@@ -83,11 +84,8 @@ class CurveCache {
           refs_.push_back({Kind::kZero, 0});
           break;
         case CurveParams::Form::kJobInverse: {
-          const auto key = std::make_pair(static_cast<const void*>(p.fn), p.importance);
-          auto [it, inserted] = group_ids.emplace(key, static_cast<std::uint32_t>(groups_.size()));
-          if (inserted) groups_.push_back({p.fn, p.importance});
           refs_.push_back({Kind::kJob, static_cast<std::uint32_t>(job_group_.size())});
-          job_group_.push_back(it->second);
+          job_group_.push_back(group_id(p.fn, p.importance));
           job_submit_.push_back(p.submit);
           job_goal_.push_back(p.goal);
           job_now_.push_back(p.now);
@@ -144,6 +142,18 @@ class CurveCache {
     const utility::UtilityFunction* fn;
     double importance;
   };
+
+  /// Id of the (fn, importance) group, numbered in first-seen order. A
+  /// linear scan: a cycle typically holds one or two groups.
+  std::uint32_t group_id(const utility::UtilityFunction* fn, double importance) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (groups_[g].fn == fn && groups_[g].importance == importance) {
+        return static_cast<std::uint32_t>(g);
+      }
+    }
+    groups_.push_back({fn, importance});
+    return static_cast<std::uint32_t>(groups_.size() - 1);
+  }
 
   /// Solve fn⁻¹(u·w) once per (fn, importance) group; every job in the
   /// group then needs only flat arithmetic.

@@ -19,6 +19,7 @@
 #include "cluster/placement.hpp"
 #include "core/placement_problem.hpp"
 #include "obs/audit.hpp"
+#include "obs/context.hpp"
 
 namespace heteroplace::core {
 
@@ -38,13 +39,20 @@ struct SolverResult {
   SolverStats stats;
 };
 
-/// `audit` (optional) receives one structured record per placement
+/// `obs.audit` (optional) receives one structured record per placement
 /// decision — job place/keep/reject/migrate, instance place, evictions
 /// with the displaced victim and its urgency slack — stamped with the
-/// decision-time headroom of the chosen node. `now` is the sim time the
-/// records carry; both default to "no audit".
+/// decision-time headroom of the chosen node. `obs.profiler` (optional)
+/// times the solve/* rows: pin (phases 1–2), grow (3), pack (4), fill
+/// (5, shortfall, spread, 5.5) and emit; they are profiler-only, so no
+/// trace event changes. `now` is the sim time the records carry; the
+/// default context observes nothing.
+///
+/// The working set lives in a per-thread scratch that is cleared, not
+/// freed, between calls (placement_solver.cpp); the result depends only
+/// on the arguments.
 [[nodiscard]] SolverResult solve_placement(const PlacementProblem& problem,
                                            const SolverConfig& config = {},
-                                           obs::AuditLog* audit = nullptr, double now = 0.0);
+                                           const obs::ObsContext& obs = {}, double now = 0.0);
 
 }  // namespace heteroplace::core

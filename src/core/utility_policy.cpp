@@ -24,8 +24,10 @@ PlacementProblem build_problem_skeleton(const World& world) {
     problem.classes = cl.classes().classes();
   }
 
-  for (const workload::Job* job : world.active_jobs()) {
-    SolverJob sj;
+  const std::vector<const workload::Job*> jobs = world.active_jobs();
+  problem.jobs.reserve(jobs.size());
+  for (const workload::Job* job : jobs) {
+    SolverJob& sj = problem.jobs.emplace_back();
     sj.id = job->id();
     sj.memory = job->spec().memory;
     sj.max_speed = job->spec().max_speed;
@@ -34,7 +36,6 @@ PlacementProblem build_problem_skeleton(const World& world) {
     sj.movable = job->phase() == workload::JobPhase::kRunning;
     sj.remaining = job->remaining();
     sj.constraint = job->spec().constraint;
-    problem.jobs.push_back(sj);
   }
 
   for (const auto& app : world.apps()) {
@@ -173,7 +174,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   SolverResult solved;
   {
     obs::Span span(obs_, obs::SpanKind::kSolve, t);
-    solved = solve_placement(problem, solver_config_, obs_.audit, t);
+    solved = solve_placement(problem, solver_config_, obs_, t);
     span.end({{"jobs_placed", static_cast<double>(solved.stats.jobs_placed)},
               {"jobs_migrated", static_cast<double>(solved.stats.jobs_migrated)},
               {"instances_added", static_cast<double>(solved.stats.instances_added)}});

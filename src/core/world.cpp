@@ -28,9 +28,9 @@ workload::TxApp& World::app_mut(util::AppId id) {
   return apps_[it->second];
 }
 
-workload::Job& World::insert(workload::Job job, const char* who) {
-  const util::JobId id = job.id();
-  auto [it, fresh] = jobs_.try_emplace(id, Entry{std::move(job), kNotLive});
+template <class Arg>
+workload::Job& World::insert(util::JobId id, Arg&& arg, const char* who) {
+  auto [it, fresh] = jobs_.try_emplace(id, std::forward<Arg>(arg));
   if (!fresh) throw std::invalid_argument(std::string(who) + ": duplicate job id");
   job_order_.push_back(id);
   Entry& e = it->second;
@@ -44,11 +44,13 @@ workload::Job& World::insert(workload::Job job, const char* who) {
 }
 
 workload::Job& World::submit_job(workload::JobSpec spec) {
-  return insert(workload::Job{std::move(spec)}, "World::submit_job");
+  const util::JobId id = spec.id;
+  return insert(id, std::move(spec), "World::submit_job");
 }
 
 workload::Job& World::adopt_job(workload::Job job) {
-  return insert(std::move(job), "World::adopt_job");
+  const util::JobId id = job.id();
+  return insert(id, std::move(job), "World::adopt_job");
 }
 
 void World::retire(Entry& e) {

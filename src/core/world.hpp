@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -107,15 +108,22 @@ class World {
   [[nodiscard]] std::size_t live_slot_count() const { return live_.size(); }
 
  private:
+  static constexpr std::size_t kNotLive = static_cast<std::size_t>(-1);
+
   /// A registry entry: the job and its slot in live_ (kNotLive once the
   /// job completed). std::map nodes never move, so live_ can point at them.
   struct Entry {
+    /// Builds the job in place from `arg` (a JobSpec or a Job).
+    template <class Arg>
+    explicit Entry(Arg&& arg) : job(std::forward<Arg>(arg)) {}
     workload::Job job;
-    std::size_t slot;
+    std::size_t slot{kNotLive};
   };
-  static constexpr std::size_t kNotLive = static_cast<std::size_t>(-1);
 
-  workload::Job& insert(workload::Job job, const char* who);
+  /// Register job `id`, built in its map node from `arg`; throws on a
+  /// duplicate id (naming `who`) without building anything.
+  template <class Arg>
+  workload::Job& insert(util::JobId id, Arg&& arg, const char* who);
   /// Tombstone a live entry's slot; compacts when tombstones dominate.
   void retire(Entry& e);
 

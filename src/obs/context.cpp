@@ -41,6 +41,11 @@ constexpr SpanSpec kSpans[] = {
     {Lane::kController, "equalize", Phase::kPolicyEqualize},
     {Lane::kController, "build_problem", Phase::kPolicyBuildProblem},
     {Lane::kController, "solve", Phase::kPolicySolve},
+    {Lane::kController, nullptr, Phase::kSolvePin},
+    {Lane::kController, nullptr, Phase::kSolveGrow},
+    {Lane::kController, nullptr, Phase::kSolvePack},
+    {Lane::kController, nullptr, Phase::kSolveFill},
+    {Lane::kController, nullptr, Phase::kSolveEmit},
     {Lane::kExecutor, "apply", Phase::kExecutorApply},
     {Lane::kExecutor, "pass1_release", Phase::kExecutorRelease},
     {Lane::kExecutor, "pass2_resize", Phase::kExecutorResize},

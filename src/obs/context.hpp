@@ -110,6 +110,11 @@ enum class SpanKind : std::uint8_t {
   kEqualize,
   kBuildProblem,
   kSolve,
+  kSolvePin,
+  kSolveGrow,
+  kSolvePack,
+  kSolveFill,
+  kSolveEmit,
   kExecutorApply,
   kReleasePass,
   kResizePass,

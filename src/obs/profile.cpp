@@ -17,6 +17,16 @@ const char* phase_name(Phase p) {
       return "policy/build_problem";
     case Phase::kPolicySolve:
       return "policy/solve";
+    case Phase::kSolvePin:
+      return "solve/pin";
+    case Phase::kSolveGrow:
+      return "solve/grow";
+    case Phase::kSolvePack:
+      return "solve/pack";
+    case Phase::kSolveFill:
+      return "solve/fill";
+    case Phase::kSolveEmit:
+      return "solve/emit";
     case Phase::kExecutorApply:
       return "executor/apply";
     case Phase::kExecutorRelease:

@@ -27,7 +27,12 @@ enum class Phase : int {
   kPolicyConsumers,      // phase 1: utility consumers for jobs and apps
   kPolicyEqualize,       // phase 2: utility equalization
   kPolicyBuildProblem,   // phase 3: placement-problem construction
-  kPolicySolve,          // phase 4: placement solver
+  kPolicySolve,          // phase 4: placement solver (includes the solve/* rows)
+  kSolvePin,             // solver phases 1-2: instance counts, pin current residents
+  kSolveGrow,            // solver phase 3: grow instance clusters
+  kSolvePack,            // solver phase 4: pack waiting jobs
+  kSolveFill,            // solver phase 5: CPU fill, shortfall, spread, rescue
+  kSolveEmit,            // solver: emit the plan in contract order
   kExecutorApply,        // action-plan application (includes its passes)
   kExecutorRelease,      // pass 1: suspends and instance stops
   kExecutorResize,       // pass 2: CPU-share shrinks, then grows

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <map>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "legacy/legacy_placement_solver.hpp"
 #include "util/rng.hpp"
 
 using namespace heteroplace;
@@ -475,4 +482,172 @@ TEST(Solver, InstanceGrowthEvictsInUrgencyOrder) {
   ASSERT_EQ(r.plan.jobs.size(), 1u);
   EXPECT_EQ(r.plan.jobs[0].job.get(), 2u);  // highest urgency survives
   EXPECT_EQ(r.stats.jobs_waiting, 2);
+}
+
+// ---- Scratch reuse -----------------------------------------------------------
+
+namespace {
+
+/// A solve's outcome: its result, or the message of what it threw.
+struct Outcome {
+  std::optional<core::SolverResult> result;
+  std::string error;
+};
+
+Outcome solve_catching(const PlacementProblem& p, const SolverConfig& cfg) {
+  Outcome o;
+  try {
+    o.result = core::solve_placement(p, cfg);
+  } catch (const std::exception& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+/// Field-by-field equality; `tol` 0 demands bit-identical grants.
+void expect_same(const core::SolverResult& a, const core::SolverResult& b, double tol,
+                 const std::string& what) {
+  EXPECT_EQ(a.stats.jobs_placed, b.stats.jobs_placed) << what;
+  EXPECT_EQ(a.stats.jobs_waiting, b.stats.jobs_waiting) << what;
+  EXPECT_EQ(a.stats.jobs_evicted, b.stats.jobs_evicted) << what;
+  EXPECT_EQ(a.stats.jobs_migrated, b.stats.jobs_migrated) << what;
+  EXPECT_EQ(a.stats.instances_total, b.stats.instances_total) << what;
+  EXPECT_EQ(a.stats.instances_added, b.stats.instances_added) << what;
+  EXPECT_EQ(a.stats.instances_dropped, b.stats.instances_dropped) << what;
+  ASSERT_EQ(a.plan.jobs.size(), b.plan.jobs.size()) << what;
+  for (std::size_t i = 0; i < a.plan.jobs.size(); ++i) {
+    EXPECT_EQ(a.plan.jobs[i].job, b.plan.jobs[i].job) << what << " job#" << i;
+    EXPECT_EQ(a.plan.jobs[i].node, b.plan.jobs[i].node) << what << " job#" << i;
+    if (tol == 0.0) {
+      EXPECT_EQ(a.plan.jobs[i].cpu.get(), b.plan.jobs[i].cpu.get()) << what << " job#" << i;
+    } else {
+      EXPECT_NEAR(a.plan.jobs[i].cpu.get(), b.plan.jobs[i].cpu.get(), tol) << what << " job#" << i;
+    }
+  }
+  ASSERT_EQ(a.plan.instances.size(), b.plan.instances.size()) << what;
+  for (std::size_t i = 0; i < a.plan.instances.size(); ++i) {
+    EXPECT_EQ(a.plan.instances[i].app, b.plan.instances[i].app) << what << " inst#" << i;
+    EXPECT_EQ(a.plan.instances[i].node, b.plan.instances[i].node) << what << " inst#" << i;
+    if (tol == 0.0) {
+      EXPECT_EQ(a.plan.instances[i].cpu.get(), b.plan.instances[i].cpu.get())
+          << what << " inst#" << i;
+    } else {
+      EXPECT_NEAR(a.plan.instances[i].cpu.get(), b.plan.instances[i].cpu.get(), tol)
+          << what << " inst#" << i;
+    }
+  }
+}
+
+/// Round `round` of the reuse sequence: node, job, app and constraint-group
+/// counts swing up and down from one problem to the next.
+PlacementProblem reuse_problem(util::Rng& rng, int round) {
+  static constexpr int kNodes[] = {6, 40, 2, 25, 1, 64, 9, 33, 3, 50, 12, 4};
+  static constexpr int kJobs[] = {20, 160, 5, 90, 0, 260, 40, 120, 12, 200, 60, 8};
+  const int n_nodes = kNodes[round % 12];
+  const int n_jobs = kJobs[round % 12];
+  const int n_groups = round % 4;  // constraint sets besides the empty one
+  auto p = small_cluster(n_nodes);
+  if (n_groups > 0) {
+    cluster::MachineClass x86;
+    x86.name = "x86";
+    x86.arch = "x86";
+    cluster::MachineClass arm;
+    arm.name = "arm";
+    arm.arch = "arm";
+    cluster::MachineClass gpu = x86;
+    gpu.name = "gpu";
+    gpu.accel = {"gpu"};
+    p.classes = {cluster::MachineClass{}, x86, arm, gpu};
+    for (auto& n : p.nodes) n.klass = static_cast<cluster::ClassId>(rng.uniform_int(1, 3));
+  }
+  std::vector<cluster::ConstraintSet> sets(1);  // the empty set
+  for (int g = 0; g < n_groups; ++g) {
+    cluster::ConstraintSet c;
+    if (g == 0) c.arch = "x86";
+    if (g == 1) c.arch = "arm";
+    if (g == 2) c.accel = {"gpu"};
+    sets.push_back(c);
+  }
+  std::vector<double> mem_used(static_cast<std::size_t>(n_nodes), 0.0);
+  for (int i = 0; i < n_jobs; ++i) {
+    auto j = job(static_cast<unsigned>(i), rng.uniform(0.0, 3000.0), rng.uniform(400.0, 2000.0));
+    j.constraint = sets[static_cast<std::size_t>(rng.uniform_int(0, n_groups))];
+    const double r = rng.uniform01();
+    if (r < 0.45) {
+      const auto node = static_cast<std::size_t>(rng.uniform_int(0, n_nodes - 1));
+      if (mem_used[node] + j.memory.get() <= 4096.0) {  // keep residencies memory-feasible
+        mem_used[node] += j.memory.get();
+        j.phase = JobPhase::kRunning;
+        j.current_node = NodeId{static_cast<unsigned>(node)};
+        j.movable = rng.chance(0.85);
+        if (!j.movable) j.phase = JobPhase::kResuming;
+      }
+    } else if (r < 0.6) {
+      j.phase = JobPhase::kSuspended;
+    }
+    j.remaining = util::MhzSeconds{rng.uniform(1e3, 1e8)};
+    p.jobs.push_back(j);
+  }
+  const int n_apps = static_cast<int>(rng.uniform_int(0, 3));
+  for (int a = 0; a < n_apps; ++a) {
+    auto ap = app(static_cast<unsigned>(a), rng.uniform(0.0, 60000.0), rng.uniform(512.0, 1536.0));
+    ap.constraint = sets[static_cast<std::size_t>(rng.uniform_int(0, n_groups))];
+    for (int ni = 0; ni < n_nodes; ++ni) {
+      if (rng.chance(0.1)) ap.current.push_back({NodeId{static_cast<unsigned>(ni)}, rng.chance(0.8)});
+    }
+    p.apps.push_back(ap);
+  }
+  return p;
+}
+
+}  // namespace
+
+// The solver keeps its working set in a per-thread scratch that is
+// cleared, not freed, between calls. A warm scratch — left by bigger or
+// smaller problems, or by a call that threw halfway — must give exactly
+// what a cold one gives: each result here is compared with the same
+// problem solved on a fresh thread (cold scratch), and with the seed
+// solver wherever the problem has no constraints.
+TEST(SolverScratch, ReuseMatchesFreshSolve) {
+  util::Rng rng(20240611);
+  int legacy_checked = 0;
+  for (int round = 0; round < 36; ++round) {
+    PlacementProblem p = reuse_problem(rng, round);
+    if (round == 17) {
+      // Throws in phase 2 after every other resident has been pinned.
+      auto bad = job(100000, 1000.0);
+      bad.phase = JobPhase::kRunning;
+      bad.current_node = NodeId{static_cast<unsigned>(p.nodes.size() + 5)};
+      p.jobs.push_back(bad);
+    }
+    SolverConfig cfg;
+    cfg.allow_migration = rng.chance(0.8);
+    cfg.work_conserving = rng.chance(0.8);
+    const std::string what = "round " + std::to_string(round);
+
+    const Outcome warm = solve_catching(p, cfg);
+    Outcome cold;
+    std::thread([&] { cold = solve_catching(p, cfg); }).join();
+
+    if (round == 17) {
+      EXPECT_FALSE(warm.result.has_value()) << what;
+      EXPECT_EQ(warm.error, "solve_placement: VM references unknown node") << what;
+      EXPECT_EQ(cold.error, warm.error) << what;
+      continue;
+    }
+    ASSERT_TRUE(warm.result.has_value()) << what << ": " << warm.error;
+    ASSERT_TRUE(cold.result.has_value()) << what << ": " << cold.error;
+    expect_same(*cold.result, *warm.result, 0.0, what + " (fresh thread)");
+
+    bool constrained = !p.classes.empty();
+    for (const auto& j : p.jobs) constrained |= !j.constraint.empty();
+    for (const auto& a : p.apps) constrained |= !a.constraint.empty();
+    if (!constrained) {
+      expect_same(bench::legacy::solve_placement_legacy(p, cfg), *warm.result, 1e-6,
+                  what + " (seed solver)");
+      ++legacy_checked;
+    }
+    if (::testing::Test::HasFailure()) return;  // one divergent round is enough output
+  }
+  EXPECT_GE(legacy_checked, 5);
 }
