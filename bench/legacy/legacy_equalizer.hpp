@@ -1,12 +1,20 @@
 #pragma once
 
-// The seed equalizer loop: Σ alloc_for_utility(u) by per-consumer virtual
-// dispatch, with the same search window, tolerance and iteration cap as
-// core::equalize. Kept so that (a) perf_baseline measures the flat curve
-// cache against the loop it replaced, and (b) equalizer tests can assert
-// the two agree.
+// The equalizer's oracles: the plain bisection on u* that core::equalize
+// replays, in two forms.
 //
-// Do not use outside bench/ and tests/.
+// - equalize_virtual is the seed loop: Σ alloc_for_utility(u) by
+//   per-consumer virtual dispatch. perf_baseline times core::equalize
+//   against it.
+// - equalize_bisect is the flat curve cache (one curve_params() call per
+//   consumer) under the same bisection: one full pass over the consumers
+//   per midpoint, and virtual utility_at for the final utilities. Debug
+//   builds of core::equalize assert at every contended call that u*, the
+//   iteration count, every allocation and every utility equal its result
+//   bit for bit.
+//
+// Both use the same search window, tolerance and iteration cap as
+// core::equalize. Do not use outside bench/, tests/ and that debug check.
 
 #include <vector>
 
@@ -15,6 +23,9 @@
 namespace heteroplace::bench::legacy {
 
 [[nodiscard]] core::EqualizeResult equalize_virtual(
+    const std::vector<const core::UtilityConsumer*>& consumers, util::CpuMhz capacity);
+
+[[nodiscard]] core::EqualizeResult equalize_bisect(
     const std::vector<const core::UtilityConsumer*>& consumers, util::CpuMhz capacity);
 
 }  // namespace heteroplace::bench::legacy

@@ -14,10 +14,10 @@
 // still valid; the numbers are just noisier). Timings take the minimum
 // of `reps` runs, which is robust to scheduler noise on shared runners.
 //
-// The solver section also re-verifies plan equivalence (seed vs.
-// optimized) on every shape it times and fails loudly on divergence, so
-// the perf numbers can never silently come from a solver that changed
-// behavior.
+// The solver and equalizer sections also re-verify equivalence (seed vs.
+// optimized plans; u* and steps against the plain bisection) on every
+// shape they time and fail loudly on divergence, so the perf numbers can
+// never silently come from code that changed behavior.
 
 #include <chrono>
 #include <cmath>
@@ -178,12 +178,24 @@ std::vector<Case> bench_eventqueue(bool quick) {
 
 // ---- equalizer --------------------------------------------------------------
 
-std::vector<Case> bench_equalizer(bool quick) {
+/// Contended equalize calls, each timed against the seed virtual-dispatch
+/// loop. A cold case passes no hint; a `_warm` case passes the u* of the
+/// same population at 2% less capacity, as a previous cycle's slightly
+/// stale answer. Every case is first checked against the plain bisection
+/// (u*, iteration count), and `results_ok` turns false on divergence.
+std::vector<Case> bench_equalizer(bool quick, bool& results_ok) {
   const int reps = quick ? 3 : 5;
   std::vector<Case> cases;
-  const auto shapes = quick ? std::vector<int>{256} : std::vector<int>{256, 1024, 4096};
+  results_ok = true;
+  struct Shape {
+    int n_jobs;
+    bool warm;
+  };
+  const auto shapes = quick ? std::vector<Shape>{{256, false}, {1024, true}}
+                            : std::vector<Shape>{{256, false}, {1024, false}, {4096, false},
+                                                 {1024, true}};
 
-  for (const int n_jobs : shapes) {
+  for (const auto& [n_jobs, warm] : shapes) {
     util::Rng rng(7);
     std::vector<workload::Job> jobs;
     jobs.reserve(n_jobs);
@@ -220,17 +232,29 @@ std::vector<Case> bench_equalizer(bool quick) {
 
     // ~30% of total demand: firmly in the contended regime.
     const util::CpuMhz capacity{n_jobs * 550.0};
+    const double hint = warm ? core::equalize(consumers, capacity * 0.98).u_star
+                             : std::numeric_limits<double>::quiet_NaN();
+    const std::string name =
+        "equalize_" + std::to_string(n_jobs) + "j_4a" + (warm ? "_warm" : "");
+
+    const auto opt = core::equalize(consumers, capacity, hint);
+    const auto ref = bench::legacy::equalize_bisect(consumers, capacity);
+    if (opt.u_star != ref.u_star || opt.iterations != ref.iterations) {
+      std::cerr << "FATAL: equalize diverges from the plain bisection at " << name << "\n";
+      results_ok = false;
+    }
+    std::printf("  %-28s %d passes for %d bisection steps\n", name.c_str(), opt.passes,
+                opt.iterations);
 
     const auto seed_ns = time_best_ns(reps, [&] {
       const auto r = bench::legacy::equalize_virtual(consumers, capacity);
       g_sink = g_sink + r.iterations;
     });
     const auto opt_ns = time_best_ns(reps, [&] {
-      const auto r = core::equalize(consumers, capacity);
+      const auto r = core::equalize(consumers, capacity, hint);
       g_sink = g_sink + r.iterations;
     });
-    cases.push_back({"equalize_" + std::to_string(n_jobs) + "j_4a",
-                     static_cast<double>(consumers.size()), seed_ns, opt_ns});
+    cases.push_back({name, static_cast<double>(consumers.size()), seed_ns, opt_ns});
   }
   return cases;
 }
@@ -309,7 +333,8 @@ int main(int argc, char** argv) {
   write_json(out_dir + "/BENCH_eventqueue.json", "eventqueue", quick, eq_cases);
 
   std::cout << "== equalizer (seed = virtual-dispatch loop) ==\n";
-  const auto eqz_cases = bench_equalizer(quick);
+  bool eq_ok = false;
+  const auto eqz_cases = bench_equalizer(quick, eq_ok);
   for (const auto& c : eqz_cases) print_case(c);
   write_json(out_dir + "/BENCH_equalizer.json", "equalizer", quick, eqz_cases);
 
@@ -319,6 +344,6 @@ int main(int argc, char** argv) {
   for (const auto& c : sol_cases) print_case(c);
   write_json(out_dir + "/BENCH_solver.json", "solver", quick, sol_cases);
 
-  if (!plans_ok) return 1;
+  if (!plans_ok || !eq_ok) return 1;
   return 0;
 }

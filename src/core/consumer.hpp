@@ -24,13 +24,14 @@ enum class ConsumerKind { kJob, kTxApp };
 
 /// Flattened description of a consumer's CPU-for-utility curve.
 ///
-/// The equalizer evaluates Σ alloc_for_utility(u) dozens of times per
-/// control cycle over thousands of consumers; going through the virtual
-/// interface each time (and, for transactional apps, re-running an inner
-/// bisection through std::function) dominates the cycle cost. A consumer
-/// that can describe its inverse curve in closed parameters exports them
-/// here once per equalize() call, and the equalizer evaluates the curve
-/// from flat arrays. `kGeneric` consumers simply keep the virtual path.
+/// Evaluating Σ alloc_for_utility(u) through the virtual interface (and,
+/// for transactional apps, an inner bisection through std::function) is
+/// what made the equalizer's passes expensive. A consumer that can
+/// describe its inverse curve in closed parameters exports them here; the
+/// plain-bisection oracle (bench/legacy/legacy_equalizer.hpp) builds its
+/// flat curve cache from them. core::equalize reads JobConsumer and
+/// TxConsumer data directly instead. `kGeneric` consumers keep the
+/// virtual path in both.
 struct CurveParams {
   enum class Form {
     kGeneric,     // no closed form: call alloc_for_utility(u) virtually
@@ -87,13 +88,12 @@ class UtilityConsumer {
   [[nodiscard]] virtual util::JobId job_id() const { return util::JobId{}; }
   [[nodiscard]] virtual util::AppId app_id() const { return util::AppId{}; }
 
-  /// Flat curve parameters for the equalizer's hot loop. The default is
-  /// the generic (virtual-dispatch) form. Per-consumer inverses must be
-  /// identical either way — the params are a performance contract, not a
-  /// policy — though the equalizer's totals may differ in the last ulp
-  /// because the cache sums by consumer kind rather than input order
-  /// (u* agrees within the bisection tolerance with the virtual-dispatch
-  /// reference, bench/legacy/legacy_equalizer.hpp).
+  /// Flat curve parameters. The default is the generic (virtual-dispatch)
+  /// form. Per-consumer inverses must be identical either way — the
+  /// params are a performance contract, not a policy. The flat totals sum
+  /// jobs, then transactional apps, then generic consumers, each in input
+  /// order, so with jobs ahead of apps in the input they equal the
+  /// virtual-dispatch left fold bit for bit.
   [[nodiscard]] virtual CurveParams curve_params() const { return {}; }
 };
 
@@ -150,13 +150,15 @@ class JobConsumer final : public UtilityConsumer {
   }
 
   [[nodiscard]] const workload::Job& job() const { return *job_; }
+  [[nodiscard]] const utility::JobUtilityModel& model() const { return *model_; }
+  [[nodiscard]] util::Seconds now() const { return now_; }
   [[nodiscard]] util::CpuMhz speed_cap() const { return speed_cap_; }
+  /// Whether speed_cap() binds (a finite class-aware cap was given).
+  [[nodiscard]] bool capped() const { return speed_cap_.get() < kUncapped; }
 
   static constexpr double kUncapped = 1.0e300;
 
  private:
-  [[nodiscard]] bool capped() const { return speed_cap_.get() < kUncapped; }
-
   const workload::Job* job_;
   const utility::JobUtilityModel* model_;
   util::Seconds now_;
@@ -201,6 +203,8 @@ class TxConsumer final : public UtilityConsumer {
     return p;
   }
 
+  [[nodiscard]] const workload::TxApp& app() const { return *app_; }
+  [[nodiscard]] const utility::TxUtilityModel& model() const { return *model_; }
   [[nodiscard]] double lambda() const { return lambda_; }
 
  private:

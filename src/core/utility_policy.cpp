@@ -5,6 +5,11 @@
 namespace heteroplace::core {
 
 PlacementProblem build_problem_skeleton(const World& world) {
+  return build_problem_skeleton(world, world.active_jobs());
+}
+
+PlacementProblem build_problem_skeleton(const World& world,
+                                        const std::vector<const workload::Job*>& jobs) {
   PlacementProblem problem;
   const auto& cl = world.cluster();
 
@@ -24,7 +29,6 @@ PlacementProblem build_problem_skeleton(const World& world) {
     problem.classes = cl.classes().classes();
   }
 
-  const std::vector<const workload::Job*> jobs = world.active_jobs();
   problem.jobs.reserve(jobs.size());
   for (const workload::Job* job : jobs) {
     SolverJob& sj = problem.jobs.emplace_back();
@@ -116,7 +120,8 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   EqualizeResult eq;
   {
     obs::Span span(obs_, obs::SpanKind::kEqualize, t);
-    eq = equalize(consumers, world.cluster().placeable_capacity().cpu);
+    eq = equalize(consumers, world.cluster().placeable_capacity().cpu, u_hint_, obs_);
+    if (eq.contended) u_hint_ = eq.u_star;
     span.end({{"u_star", eq.u_star},
               {"iterations", static_cast<double>(eq.iterations)},
               {"contended", eq.contended ? 1.0 : 0.0}});
@@ -130,7 +135,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   PlacementProblem problem;
   {
     obs::Span span(obs_, obs::SpanKind::kBuildProblem, t);
-    problem = build_problem_skeleton(world);
+    problem = build_problem_skeleton(world, jobs);
 
     double jobs_demand = 0.0;
     double jobs_target = 0.0;
@@ -142,7 +147,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
       problem.jobs[i].target = alloc.alloc;
       problem.jobs[i].urgency = alloc.alloc.get();
       jobs_target += alloc.alloc.get();
-      jobs_demand += job_consumers[i].demand_max().get();
+      jobs_demand += alloc.demand.get();
       u_sum += alloc.utility;
       u_min = std::min(u_min, alloc.utility);
       u_max = std::max(u_max, alloc.utility);
@@ -160,7 +165,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
       PolicyDiagnostics::AppDiag diag;
       diag.id = problem.apps[a].id;
       diag.lambda = tx_consumers[a].lambda();
-      diag.demand = tx_consumers[a].demand_max();
+      diag.demand = alloc.demand;
       diag.target = alloc.alloc;
       out.diag.apps.push_back(diag);
     }

@@ -39,6 +39,9 @@ constexpr SpanSpec kSpans[] = {
     {Lane::kController, "cycle", Phase::kControllerCycle},
     {Lane::kController, "consumers", Phase::kPolicyConsumers},
     {Lane::kController, "equalize", Phase::kPolicyEqualize},
+    {Lane::kController, nullptr, Phase::kEqualizeSnapshot},
+    {Lane::kController, nullptr, Phase::kEqualizeSearch},
+    {Lane::kController, nullptr, Phase::kEqualizeFinal},
     {Lane::kController, "build_problem", Phase::kPolicyBuildProblem},
     {Lane::kController, "solve", Phase::kPolicySolve},
     {Lane::kController, nullptr, Phase::kSolvePin},

@@ -108,6 +108,9 @@ enum class SpanKind : std::uint8_t {
   kControllerCycle,
   kConsumers,
   kEqualize,
+  kEqualizeSnapshot,
+  kEqualizeSearch,
+  kEqualizeFinal,
   kBuildProblem,
   kSolve,
   kSolvePin,

@@ -13,6 +13,12 @@ const char* phase_name(Phase p) {
       return "policy/consumers";
     case Phase::kPolicyEqualize:
       return "policy/equalize";
+    case Phase::kEqualizeSnapshot:
+      return "equalize/snapshot";
+    case Phase::kEqualizeSearch:
+      return "equalize/search";
+    case Phase::kEqualizeFinal:
+      return "equalize/final";
     case Phase::kPolicyBuildProblem:
       return "policy/build_problem";
     case Phase::kPolicySolve:

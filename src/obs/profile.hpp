@@ -25,7 +25,10 @@ namespace heteroplace::obs {
 enum class Phase : int {
   kControllerCycle = 0,  // whole control cycle (includes the phases below)
   kPolicyConsumers,      // phase 1: utility consumers for jobs and apps
-  kPolicyEqualize,       // phase 2: utility equalization
+  kPolicyEqualize,       // phase 2: utility equalization (includes the equalize/* rows)
+  kEqualizeSnapshot,     // equalizer: one flat snapshot of every consumer's curve
+  kEqualizeSearch,       // equalizer: bracketing secant and the replayed bisection
+  kEqualizeFinal,        // equalizer: allocations and utilities at u*
   kPolicyBuildProblem,   // phase 3: placement-problem construction
   kPolicySolve,          // phase 4: placement solver (includes the solve/* rows)
   kSolvePin,             // solver phases 1-2: instance counts, pin current residents
