@@ -15,7 +15,7 @@
 // of `reps` runs, which is robust to scheduler noise on shared runners.
 //
 // The solver and equalizer sections also re-verify equivalence (seed vs.
-// optimized plans; u* and steps against the plain bisection) on every
+// optimized plans; u* and steps against the seed loop) on every
 // shape they time and fail loudly on divergence, so the perf numbers can
 // never silently come from code that changed behavior.
 
@@ -181,8 +181,8 @@ std::vector<Case> bench_eventqueue(bool quick) {
 /// Contended equalize calls, each timed against the seed virtual-dispatch
 /// loop. A cold case passes no hint; a `_warm` case passes the u* of the
 /// same population at 2% less capacity, as a previous cycle's slightly
-/// stale answer. Every case is first checked against the plain bisection
-/// (u*, iteration count), and `results_ok` turns false on divergence.
+/// stale answer. Every case is first checked against that loop (u*,
+/// iteration count), and `results_ok` turns false on divergence.
 std::vector<Case> bench_equalizer(bool quick, bool& results_ok) {
   const int reps = quick ? 3 : 5;
   std::vector<Case> cases;
@@ -238,9 +238,9 @@ std::vector<Case> bench_equalizer(bool quick, bool& results_ok) {
         "equalize_" + std::to_string(n_jobs) + "j_4a" + (warm ? "_warm" : "");
 
     const auto opt = core::equalize(consumers, capacity, hint);
-    const auto ref = bench::legacy::equalize_bisect(consumers, capacity);
+    const auto ref = bench::legacy::equalize_virtual(consumers, capacity);
     if (opt.u_star != ref.u_star || opt.iterations != ref.iterations) {
-      std::cerr << "FATAL: equalize diverges from the plain bisection at " << name << "\n";
+      std::cerr << "FATAL: equalize diverges from the seed loop at " << name << "\n";
       results_ok = false;
     }
     std::printf("  %-28s %d passes for %d bisection steps\n", name.c_str(), opt.passes,

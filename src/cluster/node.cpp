@@ -61,14 +61,4 @@ bool Node::set_vm_cpu(util::VmId vm, util::CpuMhz cpu) {
   return true;
 }
 
-bool Node::set_vm_mem(util::VmId vm, util::MemMb mem) {
-  auto it = residents_.find(vm);
-  if (it == residents_.end()) return false;
-  const util::MemMb others = used_.mem - it->second.mem;
-  if (others.get() + mem.get() > capacity_.mem.get() + 1e-9) return false;
-  used_.mem = others + mem;
-  it->second.mem = mem;
-  return true;
-}
-
 }  // namespace heteroplace::cluster

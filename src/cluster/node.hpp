@@ -92,10 +92,6 @@ class Node {
   /// would be over-committed. Memory reservations never change in place.
   [[nodiscard]] bool set_vm_cpu(util::VmId vm, util::CpuMhz cpu);
 
-  /// Change whether a resident VM's memory is counted (suspend-to-disk in
-  /// progress etc. is handled by Cluster; Node just applies deltas).
-  [[nodiscard]] bool set_vm_mem(util::VmId vm, util::MemMb mem);
-
   [[nodiscard]] bool hosts(util::VmId vm) const { return residents_.count(vm) > 0; }
   [[nodiscard]] const std::map<util::VmId, Resources>& residents() const { return residents_; }
   [[nodiscard]] std::size_t resident_count() const { return residents_.size(); }

@@ -135,7 +135,7 @@ class CurveSnapshot {
     }
     job_group_.reserve(consumers.size());
     for (const UtilityConsumer* c : consumers) {
-      // Exact type, not kind(): only these two classes' curves are mirrored.
+      // Exact type: only these two classes' curves are mirrored.
       if (typeid(*c) == typeid(JobConsumer)) {
         add_job(static_cast<const JobConsumer&>(*c));
       } else if (typeid(*c) == typeid(TxConsumer)) {
@@ -159,7 +159,7 @@ class CurveSnapshot {
   [[nodiscard]] bool monotone() const { return generic_.empty(); }
 
   /// Σ alloc_for_utility(u): jobs in input order, then apps, then generic
-  /// consumers (the oracle's summation order).
+  /// consumers (the seed loop's input-order sum, for input in that order).
   [[nodiscard]] double total_alloc_at(double u) const {
     solve_groups(u);
     double total = sum_job_allocs();
@@ -508,11 +508,11 @@ bool same(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Whether `r` is the plain bisection's result bit for bit.
-bool matches_bisection(const EqualizeResult& r,
+/// Whether `r` is the seed loop's result bit for bit.
+bool matches_seed_loop(const EqualizeResult& r,
                        const std::vector<const UtilityConsumer*>& consumers,
                        util::CpuMhz capacity) {
-  const EqualizeResult ref = bench::legacy::equalize_bisect(consumers, capacity);
+  const EqualizeResult ref = bench::legacy::equalize_virtual(consumers, capacity);
   if (!same(r.u_star, ref.u_star) || r.contended != ref.contended ||
       r.iterations != ref.iterations || !same(r.total.get(), ref.total.get()) ||
       !same(r.total_demand.get(), ref.total_demand.get())) {
@@ -583,7 +583,7 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
   result.total = util::CpuMhz{total};
   phase.reset();
 
-  assert(matches_bisection(result, consumers, capacity));
+  assert(matches_seed_loop(result, consumers, capacity));
   return result;
 }
 

@@ -28,10 +28,12 @@
 // (the caller's previous u*), first shrinks that bracket to the
 // tolerance; the bisection is then replayed, and only the midpoints still
 // inside the bracket cost a pass. u*, the iteration count and every
-// allocation are bit for bit those of the plain bisection
-// (bench/legacy/legacy_equalizer.hpp, asserted in debug builds).
-// Consumers that export no flat curve promise monotonicity only in exact
-// arithmetic; with one present, every midpoint is evaluated.
+// allocation are bit for bit those of the seed loop, the plain bisection
+// by virtual dispatch (bench/legacy/legacy_equalizer.hpp, asserted in
+// debug builds), as long as jobs come ahead of transactional apps and
+// other consumers last. Consumers other than JobConsumer and TxConsumer
+// have no flat curve and promise monotonicity only in exact arithmetic;
+// with one present, every midpoint is evaluated.
 
 #include <limits>
 #include <vector>
@@ -77,8 +79,10 @@ struct EqualizeResult {
 };
 
 /// Equalize hypothetical utility across `consumers` subject to `capacity`.
-/// Consumers may be in any order; the result is order-independent up to
-/// the bisection tolerance. `hint` is where the search starts (the
+/// The result is order-independent up to the bisection tolerance, but
+/// debug builds check it bit for bit against the seed loop's input-order
+/// sums, so pass jobs ahead of apps and other consumers last (as
+/// UtilityDrivenPolicy does). `hint` is where the search starts (the
 /// previous cycle's u*, or NaN for none); it changes only the number of
 /// passes, never the result. `obs` feeds the profiler-only rows
 /// equalize/snapshot, equalize/search and equalize/final.

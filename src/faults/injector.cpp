@@ -315,8 +315,6 @@ std::size_t FaultInjector::failed_node_count(std::size_t d) const {
   return state_.at(d).failed_nodes.size();
 }
 
-bool FaultInjector::blacked_out(std::size_t d) const { return state_.at(d).blackout; }
-
 DomainFaultStats FaultInjector::stats(std::size_t d, util::Seconds now) const {
   DomainFaultStats out = state_.at(d).stats;
   out.downtime_s = downtime_s(d, now);

@@ -146,8 +146,6 @@ class FaultInjector {
   [[nodiscard]] double downtime_s(std::size_t d, util::Seconds now) const;
   /// Nodes of domain `d` currently failed.
   [[nodiscard]] std::size_t failed_node_count(std::size_t d) const;
-  /// Whether domain `d` is currently blacked out.
-  [[nodiscard]] bool blacked_out(std::size_t d) const;
 
   /// Per-domain counters with downtime folded up to `now`.
   [[nodiscard]] DomainFaultStats stats(std::size_t d, util::Seconds now) const;

@@ -446,7 +446,10 @@ Scenario scenario_from_config(const util::Config& cfg) {
   for (const auto& [key, why] : inert_keys(s)) {
     if (r.has(key)) throw util::ConfigError(key + " " + why);
   }
-  if (s.engine_threads < 1) throw util::ConfigError("engine.threads: must be >= 1");
+  if (s.engine_threads < 1 || s.engine_threads > kMaxEngineThreads) {
+    throw util::ConfigError("engine.threads: must be in [1, " +
+                            std::to_string(kMaxEngineThreads) + "]");
+  }
   // Values no run can use: each would hang the sampler, fail mid-run or
   // run silently wrong.
   const auto& lat = s.controller.latencies;

@@ -1,8 +1,12 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "scenario/federation_experiment.hpp"
@@ -33,8 +37,16 @@ PolicyKind policy_from_string(const std::string& name) {
 
 int effective_engine_threads(int configured) {
   if (const char* env = std::getenv("HETEROPLACE_FORCE_THREADS")) {
-    const int forced = std::atoi(env);
-    if (forced >= 1) return forced;
+    const std::string_view text(env);
+    int forced = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), forced);
+    if (ec != std::errc{} || end != text.data() + text.size() || forced < 1 ||
+        forced > kMaxEngineThreads) {
+      throw std::invalid_argument("HETEROPLACE_FORCE_THREADS=" + std::string(text) +
+                                  ": must be an integer in [1, " +
+                                  std::to_string(kMaxEngineThreads) + "]");
+    }
+    return forced;
   }
   return std::max(configured, 1);
 }

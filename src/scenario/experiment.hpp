@@ -46,8 +46,9 @@ struct ExperimentResult {
 
 /// Engine worker threads a runner should actually use for a scenario
 /// configured with `configured` (>= 1 after clamping). The environment
-/// variable HETEROPLACE_FORCE_THREADS, when set to an integer >= 1,
-/// overrides every scenario: CI's ThreadSanitizer job sets it to push
+/// variable HETEROPLACE_FORCE_THREADS, when set, must be an integer in
+/// [1, kMaxEngineThreads] (anything else throws std::invalid_argument)
+/// and overrides every scenario. CI's ThreadSanitizer job sets it to push
 /// the whole suite — whose scenarios default to engine.threads = 1 —
 /// through the parallel batch path. Safe by the engine's contract:
 /// threads = N is bit-identical to threads = 1, so forcing it cannot

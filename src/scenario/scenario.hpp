@@ -259,6 +259,12 @@ struct MigrationSpec {
   std::vector<UplinkSpec> uplinks;
 };
 
+/// Upper bound on engine worker threads, for engine.threads and
+/// HETEROPLACE_FORCE_THREADS alike. A batch splits into at most one shard
+/// group per domain, and the widest federation any workload builds has
+/// 100 domains: more threads would have nothing to run.
+inline constexpr int kMaxEngineThreads = 256;
+
 /// Everything one run needs. `cluster` is the fleet as written;
 /// `domains` is its split into controller domains. An empty `domains`
 /// means one domain, dc0, holding `cluster` (the builders below leave it
@@ -281,9 +287,10 @@ struct Scenario {
   /// Sampling period for the time-series recorder.
   double sample_interval_s{600.0};
   std::uint64_t seed{42};
-  /// Engine worker threads (config key engine.threads). 1 = the pinned
-  /// serial reference; N > 1 runs same-timestamp per-domain event
-  /// batches on a worker pool, bit-identical to 1 by construction.
+  /// Engine worker threads (config key engine.threads), 1 to
+  /// kMaxEngineThreads. 1 = the pinned serial reference; N > 1 runs
+  /// same-timestamp per-domain event batches on a worker pool,
+  /// bit-identical to 1 by construction.
   int engine_threads{1};
   std::vector<DomainSpec> domains;
   /// Router choice: "least-loaded", "capacity-weighted", or "sticky".

@@ -27,15 +27,4 @@ std::optional<util::Seconds> UniformArrivals::next(util::Rng& /*rng*/) {
   return t_;
 }
 
-std::vector<util::Seconds> materialize(ArrivalProcess& proc, util::Rng& rng,
-                                       std::size_t max_events) {
-  std::vector<util::Seconds> out;
-  while (out.size() < max_events) {
-    auto t = proc.next(rng);
-    if (!t) break;
-    out.push_back(*t);
-  }
-  return out;
-}
-
 }  // namespace heteroplace::workload

@@ -74,8 +74,4 @@ class UniformArrivals final : public ArrivalProcess {
   long remaining_;
 };
 
-/// Materialize a whole process into a sorted vector of times.
-[[nodiscard]] std::vector<util::Seconds> materialize(ArrivalProcess& proc, util::Rng& rng,
-                                                     std::size_t max_events = 1'000'000);
-
 }  // namespace heteroplace::workload

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -106,7 +108,70 @@ std::string load_error(const std::string& text) {
   return "";
 }
 
+/// Sets HETEROPLACE_FORCE_THREADS to `value` (unsets it for nullptr) for
+/// one scope and restores the caller's value after: CI's ThreadSanitizer
+/// job runs the suite with it set.
+class ForceThreadsEnv {
+ public:
+  explicit ForceThreadsEnv(const char* value) {
+    if (const char* v = std::getenv(kName)) saved_ = v;
+    set(value);
+  }
+  ~ForceThreadsEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ForceThreadsEnv(const ForceThreadsEnv&) = delete;
+  ForceThreadsEnv& operator=(const ForceThreadsEnv&) = delete;
+
+ private:
+  static constexpr const char* kName = "HETEROPLACE_FORCE_THREADS";
+  static void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv(kName, value, 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+  std::optional<std::string> saved_;
+};
+
+/// The message of the std::invalid_argument effective_engine_threads
+/// throws ("" if none). Starts no thread.
+std::string force_threads_error() {
+  try {
+    (void)scenario::effective_engine_threads(1);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 }  // namespace
+
+TEST(ConfigLoader, EngineThreadsBounded) {
+  // engine.threads = 0, 257 and 1000000 are RejectsValuesNoRunCanUse's.
+  const int max = scenario::kMaxEngineThreads;
+  EXPECT_EQ(scenario::scenario_from_config(
+                util::Config::from_string("engine.threads = " + std::to_string(max) + "\n"))
+                .engine_threads,
+            max);
+
+  // HETEROPLACE_FORCE_THREADS: a plain integer in the same range.
+  {
+    const ForceThreadsEnv unset(nullptr);
+    EXPECT_EQ(scenario::effective_engine_threads(0), 1);
+    EXPECT_EQ(scenario::effective_engine_threads(7), 7);
+  }
+  const std::pair<const char*, int> valid[] = {{"1", 1}, {"4", 4}, {"256", 256}};
+  for (const auto& [text, threads] : valid) {
+    const ForceThreadsEnv forced(text);
+    EXPECT_EQ(scenario::effective_engine_threads(7), threads) << text;
+  }
+  for (const char* text : {"", "0", "-4", "4x", "abc", " 4", "4 ", "+4", "257", "1000000",
+                           "99999999999"}) {
+    const ForceThreadsEnv forced(text);
+    EXPECT_EQ(force_threads_error().rfind("HETEROPLACE_FORCE_THREADS=", 0), 0u)
+        << "'" << text << "' -> '" << force_threads_error() << "'";
+  }
+}
 
 TEST(ConfigLoader, RejectsValuesNoRunCanUse) {
   // Each would hang the sampler (interval 0), fail mid-run with an error
@@ -124,6 +189,9 @@ TEST(ConfigLoader, RejectsValuesNoRunCanUse) {
       {"latency.start_instance = -1\n", "latency.start_instance:"},
       {"jobs.count = -5\n", "jobs.count:"},
       {"jobs.tail_count = -1\n", "jobs.tail_count:"},
+      {"engine.threads = 0\n", "engine.threads:"},
+      {"engine.threads = 257\n", "engine.threads:"},
+      {"engine.threads = 1000000\n", "engine.threads:"},
   };
   for (const auto& [text, key] : cases) {
     EXPECT_EQ(load_error(text).rfind(key, 0), 0u) << text << " -> '" << load_error(text) << "'";

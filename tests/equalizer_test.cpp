@@ -13,7 +13,6 @@
 #include "util/rng.hpp"
 
 using namespace heteroplace;
-using core::ConsumerKind;
 using core::EqualizeResult;
 using core::UtilityConsumer;
 using util::CpuMhz;
@@ -38,7 +37,6 @@ class LinearConsumer final : public UtilityConsumer {
   }
   CpuMhz demand_max() const override { return CpuMhz{demand_}; }
   double utility_max() const override { return u_max_; }
-  ConsumerKind kind() const override { return ConsumerKind::kJob; }
 
  private:
   double demand_, u_max_, slope_;
@@ -194,16 +192,23 @@ TEST_P(EqualizerFuzz, FeasibleAndEqualized) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EqualizerFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 42u));
 
-// ---- Curve-cache vs. virtual-dispatch equivalence ---------------------------
-// The flat-array hot loop in core::equalize mirrors JobUtilityModel::speed_for_utility and
-// TxUtilityModel::alloc_for_utility operation for operation, so with
-// jobs preceding apps in the consumer vector the two paths sum in the
-// same order and must agree exactly with the virtual-dispatch seed loop
-// kept under bench/legacy/.
+// ---- Replayed bisection vs the seed loop ------------------------------------
+// core::equalize decides every midpoint of the seed loop's plain bisection
+// (bench::legacy::equalize_virtual) either from the bracket of points it
+// has evaluated or by evaluating it. Its flat curves mirror
+// JobUtilityModel::speed_for_utility and TxUtilityModel::alloc_for_utility
+// operation for operation, so with jobs preceding apps in the consumer
+// vector both sum in the same order: the result must equal the oracle's
+// bit for bit whatever hint starts its search.
+
+#include <bit>
+#include <limits>
+#include <string>
 
 #include "legacy/legacy_equalizer.hpp"
 #include "utility/job_utility.hpp"
 #include "utility/tx_utility.hpp"
+#include "utility/utility_fn.hpp"
 #include "workload/job.hpp"
 #include "workload/transactional.hpp"
 
@@ -248,58 +253,6 @@ struct RealPopulation {
     for (const auto& c : tc) consumers.push_back(&c);
   }
 };
-
-}  // namespace
-
-TEST(EqualizerCurveCache, MatchesVirtualPathExactlyOnRealConsumers) {
-  // 300 jobs covers populations above 256 consumers. Both paths sum as
-  // plain left folds, so they must agree bit for bit at every size.
-  for (const int n_jobs : {60, 300}) {
-    RealPopulation pop(n_jobs, /*n_apps=*/4, /*seed=*/91u);
-    // Capacities per 60 jobs, scaled with the population.
-    for (const double per_60_jobs : {20000.0, 60000.0, 120000.0}) {
-      const CpuMhz capacity{per_60_jobs * n_jobs / 60.0};
-      SCOPED_TRACE(testing::Message() << n_jobs << " jobs, capacity " << capacity.get());
-      const auto rf = core::equalize(pop.consumers, capacity);
-      const auto rs = bench::legacy::equalize_virtual(pop.consumers, capacity);
-      EXPECT_EQ(rf.u_star, rs.u_star);
-      EXPECT_EQ(rf.contended, rs.contended);
-      EXPECT_EQ(rf.iterations, rs.iterations);
-      ASSERT_EQ(rf.allocations.size(), rs.allocations.size());
-      for (std::size_t i = 0; i < rf.allocations.size(); ++i) {
-        EXPECT_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get()) << "consumer " << i;
-        EXPECT_EQ(rf.allocations[i].utility, rs.allocations[i].utility) << "consumer " << i;
-      }
-      EXPECT_EQ(rf.total.get(), rs.total.get());
-    }
-  }
-}
-
-TEST(EqualizerCurveCache, GenericConsumersKeepVirtualSemantics) {
-  // Consumers that export no closed form (like this file's
-  // LinearConsumer) must behave identically on both paths.
-  std::vector<LinearConsumer> cs = {{3000.0, 0.9, 1.5}, {1000.0, 0.8, 3.0}, {2000.0, 1.0, 2.0}};
-  const auto rf = core::equalize(ptrs(cs), CpuMhz{3000.0});
-  const auto rs = bench::legacy::equalize_virtual(ptrs(cs), CpuMhz{3000.0});
-  EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get());
-  }
-}
-
-// ---- Replayed bisection vs the plain bisection ------------------------------
-// core::equalize decides every midpoint of the plain bisection
-// (bench::legacy::equalize_bisect) either from the bracket of points it
-// has evaluated or by evaluating it, so its result must equal the oracle's
-// bit for bit whatever hint starts its search.
-
-#include <bit>
-#include <limits>
-#include <string>
-
-#include "utility/utility_fn.hpp"
-
-namespace {
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -447,7 +400,7 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
       {{"piecewise", "sigmoid"}, true, 1.0},
       {{"piecewise", "exponential"}, false, 1.0e-4},  // floor widening
   };
-  int contended = 0, uncontended = 0, widened = 0, plain = 0, adjacent = 0;
+  int contended = 0, uncontended = 0, widened = 0, plain = 0, at_total = 0, adjacent = 0;
   for (const std::uint64_t seed : {3u, 17u}) {
     for (const auto& v : variants) {
       const ReplayPopulation pop(seed, v.shapes, v.generic, v.weight_scale);
@@ -457,7 +410,7 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
         SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << v.shapes.size()
                                         << " shapes, generic " << v.generic << ", weights x"
                                         << v.weight_scale << ", capacity " << fraction);
-        const auto ref = bench::legacy::equalize_bisect(pop.consumers, capacity);
+        const auto ref = bench::legacy::equalize_virtual(pop.consumers, capacity);
         (ref.contended ? contended : uncontended) += 1;
         if (ref.contended && ref.u_star < core::kUFloor) ++widened;
         if (ref.contended && v.generic) ++plain;
@@ -483,6 +436,18 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
         }
         if (!ref.contended || v.generic || u < core::kUFloor) continue;
 
+        // Capacity exactly the oracle's total at u*: the bisection decides
+        // u* on an equality there. A total summed in another order than the
+        // oracle's input-order fold rounds above it now and then, and so
+        // takes u* for infeasible.
+        const CpuMhz exact{pop.total_at(u)};
+        const auto exact_ref = bench::legacy::equalize_virtual(pop.consumers, exact);
+        ASSERT_TRUE(same_bits(exact_ref.u_star, u));
+        for (const double hint2 : {u, kNaN}) {
+          expect_identical(core::equalize(pop.consumers, exact, hint2), exact_ref, pop.consumers);
+        }
+        ++at_total;
+
         // Exactly at capacity, with the transition between two adjacent
         // doubles that the bisection both visits: u* and the next double
         // (capacity = total(u*), hint on the infeasible one), and the
@@ -498,7 +463,7 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
           if (!(pop.total_at(infeasible) > at)) continue;  // total flat across the pair
           const CpuMhz tight{at};
           SCOPED_TRACE(testing::Message() << "adjacent hint " << hint << ", capacity " << at);
-          const auto tight_ref = bench::legacy::equalize_bisect(pop.consumers, tight);
+          const auto tight_ref = bench::legacy::equalize_virtual(pop.consumers, tight);
           ASSERT_TRUE(same_bits(tight_ref.u_star, u));
           for (const double hint2 : {hint, u, kNaN}) {
             const auto r = core::equalize(pop.consumers, tight, hint2);
@@ -521,7 +486,7 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
         const CpuMhz capacity{per_60_jobs * n_jobs / 60.0};
         SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << n_jobs << " jobs, capacity "
                                         << capacity.get());
-        const auto ref = bench::legacy::equalize_bisect(pop.consumers, capacity);
+        const auto ref = bench::legacy::equalize_virtual(pop.consumers, capacity);
         if (!ref.contended) continue;
         ++contended;
         for (const double drift : {1e-4, 1e-3, 1e-2, 3e-2, -1e-4, -1e-3, -1e-2, -3e-2}) {
@@ -534,11 +499,31 @@ TEST(EqualizerReplay, BitIdenticalToBisection) {
     }
   }
 
+  // 60 and 300 jobs (above 256 consumers) plus four apps at three
+  // capacities, and a population of generic consumers only.
+  for (const int n_jobs : {60, 300}) {
+    const RealPopulation pop(n_jobs, /*n_apps=*/4, /*seed=*/91u);
+    for (const double per_60_jobs : {20000.0, 60000.0, 120000.0}) {
+      const CpuMhz capacity{per_60_jobs * n_jobs / 60.0};
+      SCOPED_TRACE(testing::Message() << n_jobs << " jobs, capacity " << capacity.get());
+      const auto ref = bench::legacy::equalize_virtual(pop.consumers, capacity);
+      for (const double hint : {kNaN, ref.u_star}) {
+        expect_identical(core::equalize(pop.consumers, capacity, hint), ref, pop.consumers);
+      }
+    }
+  }
+  std::vector<LinearConsumer> linear = {
+      {3000.0, 0.9, 1.5}, {1000.0, 0.8, 3.0}, {2000.0, 1.0, 2.0}};
+  const auto linear_ref = bench::legacy::equalize_virtual(ptrs(linear), CpuMhz{3000.0});
+  ASSERT_TRUE(linear_ref.contended);
+  expect_identical(core::equalize(ptrs(linear), CpuMhz{3000.0}), linear_ref, ptrs(linear));
+
   // Non-vacuity: every regime the replay must handle was exercised.
   EXPECT_GT(contended, 0);
   EXPECT_GT(uncontended, 0);
   EXPECT_GT(widened, 0);
   EXPECT_GT(plain, 0);
+  EXPECT_GT(at_total, 0);
   EXPECT_GT(adjacent, 0);
 }
 
@@ -560,7 +545,7 @@ TEST(EqualizerReplay, NaNTotalsKeepThePlainBisectionsDecisions) {
     auto consumers = pop.consumers;
     consumers.insert(consumers.begin(), &odd_consumer);
     const CpuMhz capacity{20000.0};
-    const auto ref = bench::legacy::equalize_bisect(consumers, capacity);
+    const auto ref = bench::legacy::equalize_virtual(consumers, capacity);
     ASSERT_TRUE(ref.contended);
     for (const double hint : {std::numeric_limits<double>::quiet_NaN(), ref.u_star, 0.5}) {
       SCOPED_TRACE(testing::Message() << "hint " << hint);

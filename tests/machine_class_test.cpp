@@ -249,10 +249,6 @@ TEST(MachineClassEqualizer, SpeedCapClampsDemandAndSaturatesUtility) {
   // Above the cap, extra allocation buys nothing.
   EXPECT_DOUBLE_EQ(capped.utility_at(util::CpuMhz{1500.0}),
                    capped.utility_at(util::CpuMhz{3000.0}));
-
-  // The hot-loop curve params carry the same clamp.
-  EXPECT_DOUBLE_EQ(capped.curve_params().max_speed, 1500.0);
-  EXPECT_DOUBLE_EQ(uncapped.curve_params().max_speed, 3000.0);
 }
 
 TEST(MachineClassEqualizer, DefaultCapIsTheExactPreClassPath) {

@@ -117,12 +117,16 @@ TEST(Job, ChurnCounters) {
 TEST(Arrivals, PoissonCountAndMean) {
   util::Rng rng(42);
   workload::PoissonArrivals p(0_s, 260_s, 1000);
-  const auto times = workload::materialize(p, rng);
-  ASSERT_EQ(times.size(), 1000u);
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end(),
-                             [](Seconds a, Seconds b) { return a.get() < b.get(); }));
+  double last = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    const auto t = p.next(rng);
+    ASSERT_TRUE(t.has_value());
+    ASSERT_GE(t->get(), last);
+    last = t->get();
+  }
+  EXPECT_FALSE(p.next(rng).has_value());
   // Mean inter-arrival ≈ 260 (last/total).
-  EXPECT_NEAR(times.back().get() / 1000.0, 260.0, 30.0);
+  EXPECT_NEAR(last / 1000.0, 260.0, 30.0);
 }
 
 TEST(Arrivals, PoissonUnboundedKeepsProducing) {
@@ -135,10 +139,11 @@ TEST(Arrivals, PhasedSwitchesRate) {
   util::Rng rng(7);
   workload::PhasedPoissonArrivals p(
       0_s, {{Seconds{10.0}, 100}, {Seconds{1000.0}, 100}});
-  const auto times = workload::materialize(p, rng);
+  std::vector<double> times;
+  while (const auto t = p.next(rng)) times.push_back(t->get());
   ASSERT_EQ(times.size(), 200u);
-  const double first_phase = times[99].get();
-  const double second_phase = times[199].get() - times[99].get();
+  const double first_phase = times[99];
+  const double second_phase = times[199] - times[99];
   EXPECT_LT(first_phase, 2500.0);     // ~100×10
   EXPECT_GT(second_phase, 50000.0);   // ~100×1000
 }
